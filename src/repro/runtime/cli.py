@@ -77,7 +77,7 @@ from repro.baselines.flow_backends import available_flow_backends
 from repro.runtime.families import FAMILY_BUILDERS, GraphSpec
 from repro.runtime.orchestrator import SweepOrchestrator
 from repro.runtime.service import BoundQuery, BoundService
-from repro.runtime.store import CutStore, SpectrumStore, default_store_root
+from repro.runtime.store import SpectrumStore, default_store_root
 from repro.solvers.backend import EigenSolverOptions
 from repro.solvers.backends import available_backends
 
@@ -621,29 +621,23 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     store = _store_from_args(args)
     if store is None:
         raise SystemExit("error: cache management needs a store (drop --no-store)")
-    cut_store = CutStore(store.root)
+    cuts = store.cuts  # the same directory's cut-table namespace
     if args.action == "stats":
-        stats = store.stats()
-        stats["cuts"] = cut_store.stats()
-        print(json.dumps(stats, indent=2))
+        print(json.dumps({**store.stats(), "cuts": cuts.stats()}, indent=2))
     elif args.action == "list":
-        entries = store.entries()
-        print(format_table(entries, title=f"== spectrum store: {store.root} =="))
-        cut_entries = cut_store.entries()
-        if cut_entries:
-            print(format_table(cut_entries, title=f"== cut store: {store.root} =="))
+        print(format_table(store.entries(), title=f"== spectrum store: {store.root} =="))
+        cut_rows = cuts.entries()
+        if cut_rows:
+            print(format_table(cut_rows, title=f"== cut store: {store.root} =="))
     elif args.action == "verify":
-        report = store.verify(fix=args.fix)
-        report["cuts"] = cut_store.verify(fix=args.fix)
+        report = {**store.verify(fix=args.fix), "cuts": cuts.verify(fix=args.fix)}
         report["ok"] = bool(report["ok"] and report["cuts"]["ok"])
         print(json.dumps(report, indent=2))
         return 0 if report["ok"] or args.fix else 1
     else:  # clear
-        removed = store.clear(
-            lineage=args.family, fingerprint_prefix=args.fingerprint
-        )
-        removed += cut_store.clear(
-            lineage=args.family, fingerprint_prefix=args.fingerprint
+        removed = sum(
+            handle.clear(lineage=args.family, fingerprint_prefix=args.fingerprint)
+            for handle in (store, cuts)
         )
         print(f"removed {removed} entries from {store.root}")
     return 0

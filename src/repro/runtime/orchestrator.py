@@ -25,13 +25,12 @@ builder callable (the generators are module-level functions) or a
 locally, evaluates every ``M`` through the shared per-graph kernel
 :func:`repro.analysis.sweep.evaluate_graph_rows`, and — when the
 orchestrator was given a persistent :class:`~repro.runtime.store
-.SpectrumStore` — publishes every fresh eigensolve (and, through the
-sibling :class:`~repro.runtime.store.CutStore`, every fresh min-cut value)
-back through the store, so concurrent workers and *future runs* share
-results even though each worker process has its own memory cache.  Pool
-workers pin BLAS threading to one thread each (see
-:func:`pin_worker_blas_threads`), so ``p`` workers consume ``p`` cores
-instead of ``p * blas_threads``.
+.SpectrumStore` — publishes every fresh eigensolve (and, through its
+``cuts`` namespace, every fresh min-cut value) back through the store, so
+concurrent workers and *future runs* share results even though each worker
+process has its own memory cache.  Pool workers pin BLAS threading to one
+thread each (see :func:`pin_worker_blas_threads`), so ``p`` workers consume
+``p`` cores instead of ``p * blas_threads``.
 
 With ``processes=1`` the orchestrator degenerates to the serial loop the
 analysis harness always ran: tasks execute in submission order (which also
@@ -56,7 +55,7 @@ from repro.analysis.sweep import METHODS, SweepRow, evaluate_graph_rows
 from repro.core.engine import SolveRecord
 from repro.graphs.compgraph import ComputationGraph
 from repro.runtime.families import GraphSpec, estimate_num_vertices, family_builder
-from repro.runtime.store import CutStore, SpectrumStore
+from repro.runtime.store import SpectrumStore
 from repro.solvers.backend import EigenSolverOptions
 from repro.solvers.spectrum_cache import SpectrumCache
 
@@ -302,7 +301,7 @@ def _execute_task(payload: _TaskPayload) -> _TaskOutcome:
         graph = task.build_graph()
         store = SpectrumStore(store_root) if store_root else None
         cache = SpectrumCache(store=store)
-        cut_store = CutStore(store_root) if store_root else None
+        cut_store = store.cuts if store is not None else None
         chunk = (
             (solve_task.chunk_index, solve_task.num_chunks)
             if solve_task.num_chunks > 1
@@ -443,7 +442,7 @@ class SweepOrchestrator:
         if isinstance(store, (str, Path)):
             store = SpectrumStore(store)
         self._store = store
-        self._cut_store = CutStore(store.root) if store is not None else None
+        self._cut_store = store.cuts if store is not None else None
         if processes is None:
             processes = os.cpu_count() or 1
         if processes < 1:

@@ -31,7 +31,7 @@ from repro.baselines.convex_mincut import MinCutEngine
 from repro.core.engine import BoundEngine
 from repro.graphs.compgraph import ComputationGraph
 from repro.runtime.families import GraphSpec
-from repro.runtime.store import CutStore, SpectrumStore
+from repro.runtime.store import SpectrumStore
 from repro.solvers.backend import EigenSolverOptions
 from repro.solvers.spectrum_cache import SpectrumCache
 
@@ -148,7 +148,7 @@ class BoundService:
         if max_engines < 1:
             raise ValueError(f"max_engines must be positive, got {max_engines}")
         self._cache = SpectrumCache(max_entries=max(128, 4 * max_engines), store=store)
-        self._cut_store = CutStore(store.root) if store is not None else None
+        self._cut_store = store.cuts if store is not None else None
         self._num_eigenvalues = int(num_eigenvalues)
         self._eig_options = eig_options
         self._mincut_backend = mincut_backend

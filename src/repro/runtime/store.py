@@ -1,64 +1,68 @@
-"""Persistent on-disk archive of Laplacian spectra.
+"""Persistent on-disk archive of Laplacian spectra and convex min-cut tables.
 
 The in-memory :class:`~repro.solvers.spectrum_cache.SpectrumCache` makes an
 eigensolve happen at most once *per process*; :class:`SpectrumStore` extends
-that guarantee across processes and runs.  Every entry is one ``.npz`` blob
-(the eigenvalue vector plus the solve cost) under ``<root>/blobs/``, named by
-a content key derived from the same quantities the in-memory cache keys on:
-the graph's structural fingerprint, the normalisation, the resolved
-sparse/dense assembly choice, the solver options, and the truncation ``h``.
-A single ``index.json`` maps entry ids to their metadata so lookups never
-scan the blob directory.
+that guarantee across processes and runs, and :class:`CutStore` does the same
+for the max-flow calls of the convex min-cut baseline.  Both are key
+derivation plus a codec over one private engine (:class:`_Engine`), and one
+store directory holds both namespaces::
 
-Concurrency model
------------------
-Multiple processes (the sweep orchestrator's pool workers, parallel CI jobs,
-a long-running :class:`~repro.runtime.service.BoundService`) share one store
-directory:
+    <root>/index.json       <root>/blobs/<entry-id>.npz     <root>/.lock
+    <root>/cuts-index.json  <root>/cuts/<fingerprint>.npz   <root>/.cuts.lock
 
-* blobs and the index are written to a temporary file and atomically
-  ``os.replace``d into place, so readers never observe partial files;
-* index read-modify-writes hold an ``fcntl`` file lock on ``<root>/.lock``
-  (shared for reads, exclusive for writes), so concurrent writers cannot lose
-  each other's entries;
-* a racing duplicate solve simply overwrites the blob with identical content
-  and leaves the existing index entry in place — wasteful, never wrong;
-* cold solves can additionally be *coalesced* across processes with a
-  *solve lease* (:meth:`SpectrumStore.acquire_lease`): one JSON file per
-  spectrum base id under ``<root>/leases/``, guarded by ``.leases.lock``,
-  carrying the leader's pid/host/heartbeat/ttl.  Followers poll
-  :meth:`wait_for_lease` and then re-read the published spectrum, so N
-  workers needing one cold spectrum pay exactly one eigensolve.  A lease
-  is only ever advisory — a follower whose wait times out solves anyway
-  (wasteful, never wrong), and a leader killed mid-solve hands over via
-  ttl expiry or same-host dead-pid detection.
+A spectrum entry id hashes the graph fingerprint, normalisation, assembly,
+solver options and variant, plus the truncation ``h``; a cut table is keyed
+by the fingerprint alone (cut values depend on neither ``M`` nor the flow
+backend).  Each index entry records metadata and the **sha256 of its blob**;
+each index keeps a persistent work counter (``solves_recorded`` /
+``flows_recorded``) that ``python -m repro cache stats`` reports.
 
-The store keeps cumulative ``solves_recorded`` in the index: every
-:meth:`put` is one eigensolve *somebody* paid for, which is what
-``python -m repro cache stats`` reports and the CI warm-run smoke asserts on.
+Guarantees:
+
+* **Atomic, durable writes** — blobs and indexes go to a temp file that is
+  fsynced, ``os.replace``d into place, then the directory is fsynced.
+  Advisory lease files skip the fsyncs.
+* **Consistent reads** — writers replace a blob and its index entry together
+  under the namespace's exclusive ``flock``, recording the digest of the
+  bytes they wrote; readers hold the shared lock from the index lookup
+  through the blob read.  A digest mismatch can only mean corruption.
+* **One decode path** — lookups, a cut merge's read of the stored table and
+  ``verify`` all check digest, ``np.load`` and the codec's invariants.  Any
+  failure is a **loud miss**: a WARNING naming the entry, the entry dropped
+  (only if the index still records the digest that failed), and a re-solve.
+* **Failed writes never fail a query** — an ``OSError`` (``ENOSPC``,
+  ``EROFS``, ...) while publishing is logged and the answer still served.
+* An index of another format version reads as empty: a re-solve.
+
+Cold spectrum solves can be *coalesced* across processes with a solve lease
+(:meth:`SpectrumStore.acquire_lease`): one JSON file per spectrum base id
+under ``<root>/leases/``, guarded by ``.leases.lock``.  Followers poll
+:meth:`SpectrumStore.wait_for_lease` and re-read the published spectrum.  A
+lease is advisory: a follower whose wait times out solves anyway, and a
+leader killed mid-solve hands over via ttl expiry or dead-pid detection.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import hashlib
+import io
 import json
 import os
 import socket
 import tempfile
 import threading
 import time
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.obs.metrics import global_registry
 from repro.solvers.backend import EigenSolverOptions
+from repro.utils.logging import get_logger
 
 _STORE_IO_SECONDS = global_registry().histogram(
     "repro_store_io_seconds",
@@ -66,27 +70,11 @@ _STORE_IO_SECONDS = global_registry().histogram(
     labelnames=("store", "op"),
 )
 
-
-def _timed_io(store: str, op: str):
-    """Observe the wrapped store method's latency into the I/O histogram."""
-
-    def wrap(fn):
-        @functools.wraps(fn)
-        def inner(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                _STORE_IO_SECONDS.observe(
-                    time.perf_counter() - start, store=store, op=op
-                )
-
-        return inner
-
-    return wrap
+_LOG = get_logger("runtime.store")
 
 __all__ = [
     "StoredSpectrum",
+    "StoredCutTable",
     "SpectrumStore",
     "SolveLease",
     "CutStore",
@@ -114,12 +102,12 @@ LEASE_TTL_ENV_VAR = "REPRO_LEASE_TTL_SECONDS"
 #: power hands over within half a minute.
 DEFAULT_LEASE_TTL_SECONDS = 30.0
 
-_FORMAT_VERSION = 1
-_INDEX_NAME = "index.json"
-_LOCK_NAME = ".lock"
-_BLOB_DIR = "blobs"
+#: Version 2 added the per-entry sha256; older indexes read as empty.
+_FORMAT_VERSION = 2
 _LEASE_DIR = "leases"
 _LEASE_LOCK_NAME = ".leases.lock"
+#: ``verify(fix=True)`` leaves unindexed blob files younger than this alone.
+_ORPHAN_GRACE_SECONDS = 60.0
 
 _HOSTNAME = socket.gethostname()
 
@@ -183,6 +171,26 @@ class StoredSpectrum:
     variant: str = "exact"
 
 
+@dataclass(frozen=True)
+class StoredCutTable:
+    """One graph's per-vertex convex min-cut table loaded from disk.
+
+    ``vertices``/``values`` are aligned int64 arrays (read-only): entry ``i``
+    says ``C(vertices[i], G) == values[i]``.  The table may be partial — a
+    capped or pruned sweep only ever pays for the cuts it needed — and
+    :meth:`CutStore.merge` unions new entries in.
+    """
+
+    vertices: np.ndarray
+    values: np.ndarray
+
+    def as_dict(self) -> Dict[int, int]:
+        return dict(zip(self.vertices.tolist(), self.values.tolist()))
+
+    def __len__(self) -> int:
+        return int(self.vertices.shape[0])
+
+
 def _canonical_options(options: Optional[EigenSolverOptions]) -> Dict[str, object]:
     return dataclasses.asdict(options or EigenSolverOptions())
 
@@ -196,8 +204,8 @@ def _base_id(
 ) -> str:
     payload = [fingerprint, bool(normalized), bool(sparse), _canonical_options(options)]
     if variant != "exact":
-        # Appended only for non-exact variants so every pre-variant entry id
-        # (and any store written by an older build) remains addressable.
+        # Appended only for non-exact variants, so exact entry ids keep the
+        # key they had before variants existed.
         payload.append(str(variant))
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()
@@ -209,32 +217,28 @@ def _entry_id(base_id: str, num_eigenvalues: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# shared on-disk primitives (used by SpectrumStore and CutStore)
+# on-disk primitives
 # ----------------------------------------------------------------------
-def _atomic_write_text(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_npz(path: Path, **arrays: np.ndarray) -> None:
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name + ".", suffix=".npz"
-    )
+def _atomic_write(path: Path, data: bytes, durable: bool = True) -> None:
+    """Replace ``path`` with ``data`` atomically; fsynced unless not ``durable``."""
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+            handle.write(data)
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+    if durable:
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
 
 @contextlib.contextmanager
@@ -260,6 +264,495 @@ def _flocked(root: Path, lock_name: str, exclusive: bool):
         os.close(fd)  # closing the descriptor releases the flock
 
 
+# ----------------------------------------------------------------------
+# codecs: what one namespace stores in a blob and what it must satisfy
+# ----------------------------------------------------------------------
+Arrays = Dict[str, np.ndarray]
+
+
+class _Codec:
+    """Layout, fields and invariants of one store namespace's blobs.
+
+    Subclasses name their ``index_name``/``lock_name``/``blob_dir``, the
+    index's persistent work ``counter``, the ``store`` label ``name`` of
+    ``repro_store_io_seconds`` and the blob ``fields`` (name -> dtype), and
+    define ``check(arrays)`` (raise ``ValueError`` unless the invariants
+    hold), ``summary(arrays)`` (index metadata derived from the content),
+    ``aggregate(entries)`` (their ``stats`` fields) and ``row(entry_id,
+    meta, nbytes)`` (one ``entries`` row).  A codec that ``merges`` unions
+    each publish with the stored blob through ``merge(old, new)``.
+    """
+
+    put_op = "put"  # ``op`` label of a publish
+    merges = False
+
+    def merge(self, old: Optional[Arrays], new: Arrays) -> Arrays:
+        return new
+
+    def encode(self, arrays: Arrays) -> bytes:
+        self.check(arrays)
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **arrays)
+        return buffer.getvalue()
+
+    def decode(self, data: bytes) -> Arrays:
+        with np.load(io.BytesIO(data)) as npz:
+            arrays = {name: np.array(npz[name], dtype=self.fields[name]) for name in npz.files}
+        self.check(arrays)
+        for array in arrays.values():
+            array.flags.writeable = False
+        return arrays
+
+
+def _finite_ascending(vector: np.ndarray) -> bool:
+    return (
+        vector.ndim == 1
+        and bool(np.all(np.isfinite(vector)))
+        and bool(np.all(np.diff(vector) >= -1e-9))
+    )
+
+
+class _SpectrumCodec(_Codec):
+    name = "spectrum"
+    index_name = "index.json"
+    lock_name = ".lock"
+    blob_dir = "blobs"
+    counter = "solves_recorded"
+    fields = {"eigenvalues": np.float64, "eigenvalues_lo": np.float64, "solve_seconds": np.float64}
+
+    def check(self, arrays: Arrays) -> None:
+        values = arrays["eigenvalues"]
+        lo = arrays.get("eigenvalues_lo")
+        if arrays["solve_seconds"].shape != () or not _finite_ascending(values):
+            raise ValueError("eigenvalues must be a finite ascending vector")
+        if lo is not None and not (
+            lo.shape == values.shape and _finite_ascending(lo) and bool(np.all(lo <= values + 1e-9))
+        ):
+            raise ValueError("eigenvalues_lo must be finite, ascending and <= eigenvalues")
+
+    def summary(self, arrays: Arrays) -> Dict[str, object]:
+        return {
+            "h": int(arrays["eigenvalues"].shape[0]),
+            "solve_seconds": float(arrays["solve_seconds"]),
+        }
+
+    def aggregate(self, entries: Dict[str, Dict]) -> Dict[str, object]:
+        return {
+            "num_entries": len(entries),
+            "num_graphs": len({meta["fingerprint"] for meta in entries.values()}),
+        }
+
+    def row(self, entry_id: str, meta: Dict, nbytes: int) -> Dict[str, object]:
+        return {
+            "entry": entry_id,
+            "fingerprint": str(meta["fingerprint"])[:12],
+            "lineage": meta.get("lineage") or "-",
+            "variant": str(meta.get("variant", "exact")),
+            "normalized": meta["normalized"],
+            "sparse": meta["sparse"],
+            "backend": str(meta.get("backend") or "unknown"),
+            "dtype": str((meta.get("options") or {}).get("dtype", "float64")),
+            "num_eigenvalues": int(meta["h"]),
+            "solve_seconds": float(meta["solve_seconds"]),
+            "bytes": nbytes,
+        }
+
+
+class _CutCodec(_Codec):
+    name = "cut"
+    put_op = "merge"
+    index_name = "cuts-index.json"
+    lock_name = ".cuts.lock"
+    blob_dir = "cuts"
+    counter = "flows_recorded"
+    fields = {"vertices": np.int64, "values": np.int64}
+    merges = True
+
+    def check(self, arrays: Arrays) -> None:
+        vertices, values = arrays["vertices"], arrays["values"]
+        if vertices.ndim != 1 or vertices.shape != values.shape or bool(np.any(values < 0)):
+            raise ValueError("cut tables need equal-length vertices and non-negative values")
+
+    def summary(self, arrays: Arrays) -> Dict[str, object]:
+        return {"num_cuts": int(arrays["vertices"].shape[0])}
+
+    def merge(self, old: Optional[Arrays], new: Arrays) -> Arrays:
+        vertices, values = new["vertices"], new["values"]
+        if old is not None:
+            vertices = np.concatenate([old["vertices"], vertices])
+            values = np.concatenate([old["values"], values])
+        # Later entries win on duplicates (they are identical anyway: the
+        # cut value of a vertex is a graph invariant).
+        order = np.arange(vertices.shape[0] - 1, -1, -1)
+        unique, first = np.unique(vertices[order], return_index=True)
+        return {"vertices": unique, "values": values[order][first]}
+
+    def aggregate(self, entries: Dict[str, Dict]) -> Dict[str, object]:
+        return {
+            "num_graphs": len(entries),
+            "num_cuts": sum(int(meta.get("num_cuts", 0)) for meta in entries.values()),
+        }
+
+    def row(self, entry_id: str, meta: Dict, nbytes: int) -> Dict[str, object]:
+        return {
+            "fingerprint": entry_id[:12],
+            "lineage": meta.get("lineage") or "-",
+            "backend": str(meta.get("backend") or "unknown"),
+            "num_cuts": int(meta.get("num_cuts", 0)),
+            "bytes": nbytes,
+        }
+
+
+# ----------------------------------------------------------------------
+# the engine
+# ----------------------------------------------------------------------
+class _Engine:
+    """One namespace of a store directory: index, blobs, lock, counters.
+
+    Owns everything the spectrum and cut namespaces share: the index (with
+    a parse cache keyed by the index file's ``(mtime_ns, size, inode)``),
+    the shared/exclusive ``flock``, atomic durable writes, the digest-checked
+    decode path, ``entries``/``stats``/``clear``/``verify``, the optional
+    LRU byte budget, the per-handle hit/miss/put counters and
+    ``repro_store_io_seconds``.  Counter updates take a thread lock: one
+    handle may be shared by many engine threads.
+    """
+
+    def __init__(self, root: Path, codec: _Codec, max_bytes: Optional[int] = None) -> None:
+        self.root = root
+        self.codec = codec
+        self.max_bytes = max_bytes
+        self.blob_dir = root / codec.blob_dir
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.puts = 0
+        self._index_cache: Optional[tuple] = None
+
+    # -- index --------------------------------------------------------
+    def blob_path(self, entry_id: str) -> Path:
+        return self.blob_dir / f"{entry_id}.npz"
+
+    def locked(self, exclusive: bool):
+        return _flocked(self.root, self.codec.lock_name, exclusive)
+
+    def empty_index(self) -> Dict[str, object]:
+        return {"format_version": _FORMAT_VERSION, self.codec.counter: 0, "entries": {}}
+
+    def read_index(self, allow_cached: bool = False) -> Dict[str, object]:
+        """Parse the index file (an unreadable or foreign one reads as empty).
+
+        ``allow_cached=True`` (read-only paths) reuses the last parsed index
+        while the file's stat is unchanged; write paths always parse fresh
+        and never publish their about-to-be-mutated dict into the cache.
+        """
+        path = self.root / self.codec.index_name
+        stat_key = None
+        if allow_cached:
+            with contextlib.suppress(OSError):
+                stat = path.stat()
+                stat_key = (stat.st_mtime_ns, stat.st_size, stat.st_ino)
+            with self._lock:
+                cached = self._index_cache
+            if stat_key is not None and cached is not None and cached[0] == stat_key:
+                return cached[1]
+        try:
+            data = json.loads(path.read_text())
+        except (OSError, ValueError):
+            return self.empty_index()
+        if not isinstance(data, dict) or data.get("format_version") != _FORMAT_VERSION:
+            return self.empty_index()
+        data.setdefault("entries", {})
+        if stat_key is not None:
+            with self._lock:
+                self._index_cache = (stat_key, data)
+        return data
+
+    def write_index(self, index: Dict[str, object]) -> None:
+        data = json.dumps(index, separators=(",", ":")).encode()  # compact: rewritten per put
+        _atomic_write(self.root / self.codec.index_name, data)
+        with self._lock:
+            self._index_cache = None
+
+    def snapshot(self) -> Dict[str, object]:
+        with self.locked(exclusive=False):
+            return self.read_index(allow_cached=True)
+
+    def blob_bytes(self, entry_id: str) -> int:
+        with contextlib.suppress(OSError):
+            return self.blob_path(entry_id).stat().st_size
+        return 0
+
+    # -- the one decode path -------------------------------------------
+    def load(self, entry_id: str, meta: Dict) -> Arrays:
+        """Read, digest-check and decode one blob; raises if it is corrupt."""
+        data = self.blob_path(entry_id).read_bytes()
+        if hashlib.sha256(data).hexdigest() != meta.get("sha256"):
+            raise ValueError("sha256 mismatch")
+        return self.codec.decode(data)
+
+    @contextlib.contextmanager
+    def _timed(self, op: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            _STORE_IO_SECONDS.observe(time.perf_counter() - start, store=self.codec.name, op=op)
+
+    def get(self, select: Callable) -> Optional[Tuple[str, Dict, Arrays]]:
+        """The first sound entry among ``select(index entries)`` (a list of
+        entry ids, best first) as ``(id, meta, arrays)``; ``None`` on a miss.
+
+        Candidates that fail to read, digest-check or decode are loud
+        misses: logged, dropped, and the next candidate is tried.  A
+        mismatch seen through the parse cache is re-checked against a fresh
+        parse first, so an index rewritten within one timestamp tick (same
+        size, recycled inode) never yields a false corrupt verdict.
+        """
+        found = None
+        corrupt: List[Tuple[str, Optional[str], Exception]] = []
+        with self._timed("get"):
+            try:
+                with self.locked(exclusive=False):
+                    for allow_cached in (True, False):
+                        entries = self.read_index(allow_cached)["entries"]
+                        found, corrupt = None, []
+                        for entry_id in select(entries):
+                            meta = entries[entry_id]
+                            try:
+                                found = (entry_id, meta, self.load(entry_id, meta))
+                                break
+                            except Exception as exc:  # any failure means corrupt
+                                corrupt.append((entry_id, meta.get("sha256"), exc))
+                        if not corrupt:
+                            break
+            except OSError as exc:  # e.g. an unopenable lock file
+                _LOG.warning("%s store %s unreadable (%s); treating as a miss",
+                             self.codec.name, self.root, exc)
+            for entry_id, _, exc in corrupt:
+                self._warn_corrupt(entry_id, exc, "dropping it")
+            if corrupt:
+                self._guarded_write(self.drop, {e: d for e, d, _ in corrupt})
+            if found is not None and self.max_bytes is not None:
+                # LRU bookkeeping only matters under a size cap; unbounded
+                # stores skip the index rewrite per hit.
+                self._guarded_write(self._touch, found[0])
+        with self._lock:
+            if found is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return found
+
+    def _warn_corrupt(self, entry_id: str, exc: Exception, action: str) -> None:
+        _LOG.warning("%s store %s: entry %s is corrupt (%s: %s); %s", self.codec.name,
+                     self.root, entry_id, type(exc).__name__, exc, action)
+
+    # -- writes ------------------------------------------------------
+    def _guarded_write(self, write: Callable, *args):
+        """Run one write; an ``OSError`` (full or read-only disk) is logged."""
+        try:
+            return write(*args)
+        except OSError as exc:
+            _LOG.warning("%s store %s: write failed (%s); continuing without it",
+                         self.codec.name, self.root, exc)
+            return None
+
+    def put(self, entry_id: str, arrays: Arrays, meta: Dict[str, object], work: int) -> Arrays:
+        """Publish one blob and its index entry; returns the arrays stored.
+
+        ``work`` accumulates into the persistent counter.  ``None`` values
+        in ``meta`` keep the existing entry's value.  A failed write is
+        logged and skipped: the caller already holds its answer.
+        """
+        with self._timed(self.codec.put_op):
+            data = None if self.codec.merges else self.codec.encode(arrays)
+            stored = self._guarded_write(self._publish, entry_id, arrays, data, meta, work)
+        if stored is None:
+            return self.codec.merge(None, arrays)
+        with self._lock:
+            self.puts += 1
+        return stored
+
+    def _publish(self, entry_id, arrays, data, meta, work) -> Arrays:
+        self.blob_dir.mkdir(parents=True, exist_ok=True)
+        with self.locked(exclusive=True):
+            index = self.read_index()
+            old = index["entries"].get(entry_id)
+            if self.codec.merges:
+                existing = None
+                if old is not None:
+                    try:
+                        existing = self.load(entry_id, old)
+                    except Exception as exc:  # any failure means corrupt
+                        self._warn_corrupt(entry_id, exc, "replacing it")
+                arrays = self.codec.merge(existing, arrays)
+                data = self.codec.encode(arrays)
+            _atomic_write(self.blob_path(entry_id), data)
+            now = time.time()
+            index[self.codec.counter] = int(index.get(self.codec.counter, 0)) + int(work)
+            index["entries"][entry_id] = {
+                "created_at": now,
+                **(old or {}),
+                **{key: value for key, value in meta.items() if value is not None},
+                **self.codec.summary(arrays),
+                "sha256": hashlib.sha256(data).hexdigest(),
+                "last_used": now,
+            }
+            if self.max_bytes is not None:
+                self._evict_over_budget(index)
+            self.write_index(index)
+        return arrays
+
+    def drop(self, doomed: Dict[str, Optional[str]]) -> int:
+        """Remove entries (index and blob) still indexed with the digest in
+        ``doomed`` (entry id -> digest that failed); rewritten ones stay."""
+        removed = 0
+        with self.locked(exclusive=True):
+            index = self.read_index()
+            for entry_id, digest in doomed.items():
+                meta = index["entries"].get(entry_id)
+                if meta is None or meta.get("sha256") != digest:
+                    continue
+                del index["entries"][entry_id]
+                with contextlib.suppress(OSError):
+                    self.blob_path(entry_id).unlink()
+                removed += 1
+            if removed:
+                self.write_index(index)
+        return removed
+
+    def _touch(self, entry_id: str) -> None:
+        """Refresh an entry's ``last_used`` stamp (LRU bookkeeping)."""
+        with self.locked(exclusive=True):
+            index = self.read_index()
+            meta = index["entries"].get(entry_id)
+            if meta is not None:
+                meta["last_used"] = time.time()
+                self.write_index(index)
+
+    def _evict_over_budget(self, index: Dict[str, object]) -> None:
+        """Evict least-recently-used entries until blobs fit ``max_bytes``.
+
+        Called with the exclusive lock held and the (mutable) index dict;
+        the caller writes the index afterwards.  The newest entry is never
+        evicted — a single over-budget spectrum is better than an empty
+        store that re-solves forever.
+        """
+        entries: Dict[str, Dict] = index["entries"]
+        sizes = {entry_id: self.blob_bytes(entry_id) for entry_id in entries}
+        total = sum(sizes.values())
+        if total <= self.max_bytes:
+            return
+        by_age = sorted(entries, key=lambda e: float(entries[e].get("last_used", 0.0)))
+        for entry_id in by_age[:-1]:  # keep at least the most recent entry
+            if total <= self.max_bytes:
+                break
+            with contextlib.suppress(OSError):
+                self.blob_path(entry_id).unlink()
+            total -= sizes[entry_id]
+            del entries[entry_id]
+
+    # -- management ----------------------------------------------------
+    def entries(self) -> List[Dict[str, object]]:
+        index = self.snapshot()
+        return [
+            self.codec.row(entry_id, meta, self.blob_bytes(entry_id))
+            for entry_id, meta in sorted(index["entries"].items())
+        ]
+
+    def stats(self) -> Dict[str, object]:
+        index = self.snapshot()
+        entries = index["entries"]
+        return {
+            "root": str(self.root),
+            **self.codec.aggregate(entries),
+            "total_bytes": sum(self.blob_bytes(entry_id) for entry_id in entries),
+            self.codec.counter: int(index.get(self.codec.counter, 0)),
+            "handle_hits": self.hits,
+            "handle_misses": self.misses,
+            "handle_puts": self.puts,
+        }
+
+    def clear(self, lineage: Optional[str], fingerprint_prefix: Optional[str]) -> int:
+        if not self.root.exists():
+            return 0
+        with self.locked(exclusive=True):
+            index = self.read_index()
+            doomed = [
+                entry_id
+                for entry_id, meta in index["entries"].items()
+                if (lineage is None or meta.get("lineage") == lineage)
+                and str(meta.get("fingerprint", "")).startswith(fingerprint_prefix or "")
+            ]
+            for entry_id in doomed:
+                with contextlib.suppress(OSError):
+                    self.blob_path(entry_id).unlink()
+                del index["entries"][entry_id]
+            if lineage is None and fingerprint_prefix is None:
+                self.write_index(self.empty_index())
+            elif doomed:
+                self.write_index(index)
+        return len(doomed)
+
+    def verify(self, fix: bool) -> Dict[str, object]:
+        """Report (and with ``fix`` repair) missing, corrupt and orphaned blobs.
+
+        The scan holds the shared lock throughout, so every verdict comes
+        from a consistent (index, blob) pair.  Repairs drop an entry only if
+        its digest is still the one that failed; orphans are re-derived
+        under the exclusive lock and left alone while younger than the
+        grace period.
+        """
+        missing: List[str] = []
+        corrupt: List[str] = []
+        with self.locked(exclusive=False):
+            index = self.read_index()
+            for entry_id, meta in sorted(index["entries"].items()):
+                try:
+                    self.load(entry_id, meta)
+                except FileNotFoundError:
+                    missing.append(entry_id)
+                except Exception:  # any failure means corrupt
+                    corrupt.append(entry_id)
+            orphaned = self._orphans(index)
+        removed = 0
+        if fix and (missing or corrupt):
+            removed = self.drop({e: index["entries"][e].get("sha256") for e in missing + corrupt})
+        if fix and orphaned:
+            cutoff = time.time() - _ORPHAN_GRACE_SECONDS
+            with self.locked(exclusive=True):
+                for name in set(orphaned) & set(self._orphans(self.read_index())):
+                    path = self.blob_dir / name
+                    with contextlib.suppress(OSError):
+                        if path.stat().st_mtime <= cutoff:
+                            path.unlink()
+        return {
+            "root": str(self.root),
+            "entries_checked": len(index["entries"]),
+            "missing": missing,
+            "corrupt": corrupt,
+            "orphaned_blobs": orphaned,
+            "ok": not (missing or corrupt or orphaned),
+            "fixed": bool(fix),
+            "entries_removed": removed,
+        }
+
+    def _orphans(self, index: Dict[str, object]) -> List[str]:
+        """Files in the blob directory no index entry references."""
+        if not self.blob_dir.exists():
+            return []
+        known = {self.blob_path(entry_id).name for entry_id in index["entries"]}
+        return sorted(path.name for path in self.blob_dir.iterdir() if path.name not in known)
+
+
+_SPECTRA = _SpectrumCodec()
+_CUTS = _CutCodec()
+
+
+# ----------------------------------------------------------------------
+# cross-process solve leases (spectra only)
+# ----------------------------------------------------------------------
 def _read_lease_file(path: Path) -> Optional[Dict[str, object]]:
     """Parse one lease file; ``None`` if absent, a corrupt marker if broken.
 
@@ -355,23 +848,84 @@ class SolveLease:
         return f"SolveLease(path={str(self.path)!r}, released={self._released})"
 
 
-class SpectrumStore:
+# ----------------------------------------------------------------------
+# public stores
+# ----------------------------------------------------------------------
+class _StoreHandle:
+    """What both public stores serve straight from their engine."""
+
+    _engine: _Engine
+
+    @property
+    def root(self) -> Path:
+        return self._engine.root
+
+    @property
+    def hits(self) -> int:
+        """Lookups this handle served from disk."""
+        return self._engine.hits
+
+    @property
+    def misses(self) -> int:
+        """Lookups this handle could not serve."""
+        return self._engine.misses
+
+    @property
+    def puts(self) -> int:
+        """Publishes this handle wrote."""
+        return self._engine.puts
+
+    def __len__(self) -> int:
+        return len(self._engine.snapshot()["entries"])
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{type(self).__name__}(root={str(self.root)!r}, entries={len(self)})"
+
+    def entries(self) -> List[Dict[str, object]]:
+        """Metadata of every stored entry (graph, size, cost, bytes)."""
+        return self._engine.entries()
+
+    def stats(self) -> Dict[str, object]:
+        """Aggregate statistics (persisted counters + this handle's traffic)."""
+        return self._engine.stats()
+
+    def clear(self, lineage: Optional[str] = None, fingerprint_prefix: Optional[str] = None) -> int:
+        """Delete entries; returns the count removed.
+
+        Without filters everything goes (the work counter included).  With
+        ``lineage`` only entries recorded under that family name are removed;
+        with ``fingerprint_prefix`` only entries whose graph fingerprint
+        starts with the prefix.  Filters compose (AND); a filtered clear
+        keeps the work counter (the work was still done).
+        """
+        return self._engine.clear(lineage, fingerprint_prefix)
+
+    def verify(self, fix: bool = False) -> Dict[str, object]:
+        """Integrity-check this namespace; optionally repair it (see
+        :meth:`SpectrumStore.verify` for the failure classes).
+        """
+        return self._engine.verify(fix)
+
+
+class SpectrumStore(_StoreHandle):
     """File-system backed, fingerprint-keyed spectrum archive.
 
     Parameters
     ----------
     root:
-        Store directory (created if missing).  ``None`` uses
+        Store directory (created on first write).  ``None`` uses
         :func:`default_store_root`.
     max_bytes:
-        Size budget for the blob directory.  When the total blob size
-        exceeds it after a :meth:`put`, least-recently-used entries are
+        Size budget for the spectrum blob directory.  When the total blob
+        size exceeds it after a :meth:`put`, least-recently-used entries are
         evicted until the store fits.  ``None`` (default) reads
         ``$REPRO_SPECTRUM_STORE_MAX_BYTES``; unset means unbounded.
     lease_ttl:
         Heartbeat ttl (seconds) of cross-process solve leases.  ``None``
         (default) reads ``$REPRO_LEASE_TTL_SECONDS`` (default 30);
         ``<= 0`` disables leasing (``acquire_lease`` then raises).
+
+    :attr:`cuts` is the :class:`CutStore` handle on the same directory.
     """
 
     def __init__(
@@ -380,68 +934,33 @@ class SpectrumStore:
         max_bytes: Optional[int] = None,
         lease_ttl: Optional[float] = None,
     ) -> None:
-        self._root = Path(root) if root is not None else default_store_root()
-        self._blob_dir = self._root / _BLOB_DIR
-        self._lease_dir = self._root / _LEASE_DIR
-        self._max_bytes = max_bytes if max_bytes is not None else default_store_max_bytes()
-        if self._max_bytes is not None and self._max_bytes < 1:
-            raise ValueError(f"max_bytes must be positive, got {self._max_bytes}")
+        root = Path(root) if root is not None else default_store_root()
+        self._lease_dir = root / _LEASE_DIR
+        max_bytes = max_bytes if max_bytes is not None else default_store_max_bytes()
+        if max_bytes is not None and max_bytes < 1:
+            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self._lease_ttl = max(0.0, float(lease_ttl)) if lease_ttl is not None else default_lease_ttl()
-        # Per-handle traffic counters (the persistent counters live in the
-        # index; these describe what *this* handle served).  One handle may
-        # be shared by many engine threads — SpectrumCache calls get/put
-        # outside its own lock — so counter updates take this lock.
-        self._counter_lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._puts = 0
-        # Read-path cache of the parsed index, keyed by the index file's
-        # (mtime_ns, size, inode): lookups against a large warm store skip
-        # re-parsing JSON unless some process actually wrote the index.
-        self._index_cache: Optional[tuple] = None
+        self._engine = _Engine(root, _SPECTRA, max_bytes)
+        self._cuts = CutStore(root)
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
     @property
-    def root(self) -> Path:
-        return self._root
+    def cuts(self) -> "CutStore":
+        """The convex min-cut table namespace of this store directory."""
+        return self._cuts
 
     @property
     def max_bytes(self) -> Optional[int]:
         """Size cap of the blob directory (None = unbounded)."""
-        return self._max_bytes
+        return self._engine.max_bytes
 
     @property
     def lease_ttl(self) -> float:
         """Solve-lease heartbeat ttl in seconds (0 = leasing disabled)."""
         return self._lease_ttl
 
-    @property
-    def hits(self) -> int:
-        """Lookups this handle served from disk."""
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        """Lookups this handle could not serve."""
-        return self._misses
-
-    @property
-    def puts(self) -> int:
-        """Spectra this handle wrote."""
-        return self._puts
-
-    def __len__(self) -> int:
-        return len(self._read_index(allow_cached=True)["entries"])
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SpectrumStore(root={str(self._root)!r}, entries={len(self)})"
-
     # ------------------------------------------------------------------
     # lookup / publish
     # ------------------------------------------------------------------
-    @_timed_io("spectrum", "get")
     def get(
         self,
         fingerprint: str,
@@ -457,68 +976,35 @@ class SpectrumStore:
         options, variant) and a truncation ``h' >= num_eigenvalues``
         qualifies (eigenvalues are ascending, so a longer vector contains
         the answer); the largest such entry is returned so in-memory tiers
-        can cache the most reusable vector.  Non-exact variants (e.g.
-        ``"coarse-r50-s0"`` interval spectra) live under distinct ids, so an
-        exact refresh of the same graph lands next to — never on top of —
-        the certified entry.
+        can cache the most reusable vector, and shorter ones are fallbacks
+        should it be corrupt.  Non-exact variants (e.g. ``"coarse-r50-s0"``
+        interval spectra) live under distinct ids, so an exact refresh of
+        the same graph lands next to — never on top of — the certified entry.
         """
         h = int(num_eigenvalues)
         if h <= 0:
             return None
         base = _base_id(fingerprint, normalized, sparse, eig_options, variant)
-        with self._locked(exclusive=False):
-            index = self._read_index(allow_cached=True)
-        # All qualifying entries, longest first (a longer vector serves more
-        # future requests); later candidates are fallbacks for corrupt blobs.
-        candidates = sorted(
-            (
-                (int(meta["h"]), entry_id)
-                for entry_id, meta in index["entries"].items()
-                if meta["base"] == base and int(meta["h"]) >= h
-            ),
-            reverse=True,
-        )
-        for entry_h, entry_id in candidates:
-            blob = self._blob_dir / f"{entry_id}.npz"
-            try:
-                with np.load(blob) as data:
-                    values = np.ascontiguousarray(data["eigenvalues"], dtype=np.float64)
-                    solve_seconds = float(data["solve_seconds"])
-                    values_lo = None
-                    if "eigenvalues_lo" in data.files:
-                        values_lo = np.ascontiguousarray(
-                            data["eigenvalues_lo"], dtype=np.float64
-                        )
-            except (OSError, KeyError, ValueError, zipfile.BadZipFile):
-                # A blob lost to a partial copy / manual deletion: drop the
-                # stale entry (index and file) and try the next candidate.
-                self._drop_entry(entry_id)
-                continue
-            values.flags.writeable = False
-            if values_lo is not None:
-                values_lo.flags.writeable = False
-            meta = index["entries"][entry_id]
-            options_meta = meta.get("options") or {}
-            with self._counter_lock:
-                self._hits += 1
-            if self._max_bytes is not None:
-                # LRU bookkeeping only matters under a size cap; unbounded
-                # stores skip the index rewrite per hit.
-                self._touch(entry_id)
-            return StoredSpectrum(
-                values,
-                solve_seconds,
-                entry_h,
-                backend=str(meta.get("backend", "unknown")),
-                dtype=str(options_meta.get("dtype", "float64")),
-                eigenvalues_lo=values_lo,
-                variant=str(meta.get("variant", "exact")),
-            )
-        with self._counter_lock:
-            self._misses += 1
-        return None
 
-    @_timed_io("spectrum", "put")
+        def longest_first(entries: Dict[str, Dict]) -> List[str]:
+            fits = [(int(meta["h"]), entry_id) for entry_id, meta in entries.items()
+                    if meta["base"] == base and int(meta["h"]) >= h]
+            return [entry_id for _, entry_id in sorted(fits, reverse=True)]
+
+        found = self._engine.get(longest_first)
+        if found is None:
+            return None
+        _, meta, arrays = found
+        return StoredSpectrum(
+            arrays["eigenvalues"],
+            float(arrays["solve_seconds"]),
+            int(meta["h"]),
+            backend=str(meta.get("backend") or "unknown"),
+            dtype=str((meta.get("options") or {}).get("dtype", "float64")),
+            eigenvalues_lo=arrays.get("eigenvalues_lo"),
+            variant=str(meta.get("variant", "exact")),
+        )
+
     def put(
         self,
         fingerprint: str,
@@ -543,51 +1029,28 @@ class SpectrumStore:
         *is* part of the key (non-exact spectra must never be served as
         exact); interval variants pass the certified lower ends as
         ``eigenvalues_lo`` with ``eigenvalues`` holding the upper ends.
+        A malformed spectrum raises ``ValueError``; a failed disk write is
+        logged and skipped.
         """
-        values = np.ascontiguousarray(eigenvalues, dtype=np.float64)
-        h = int(values.shape[0])
-        base = _base_id(fingerprint, normalized, sparse, eig_options, variant)
-        entry_id = _entry_id(base, h)
-        self._ensure_dirs()
-        blob = self._blob_dir / f"{entry_id}.npz"
         arrays = {
-            "eigenvalues": values,
+            "eigenvalues": np.ascontiguousarray(eigenvalues, dtype=np.float64),
             "solve_seconds": np.float64(solve_seconds),
         }
         if eigenvalues_lo is not None:
-            lo = np.ascontiguousarray(eigenvalues_lo, dtype=np.float64)
-            if lo.shape != values.shape:
-                raise ValueError(
-                    f"eigenvalues_lo shape {lo.shape} != eigenvalues {values.shape}"
-                )
-            arrays["eigenvalues_lo"] = lo
-        self._atomic_write_npz(blob, **arrays)
-        now = time.time()
-        with self._locked(exclusive=True):
-            index = self._read_index()
-            index["solves_recorded"] = int(index.get("solves_recorded", 0)) + 1
-            if entry_id not in index["entries"]:
-                index["entries"][entry_id] = {
-                    "base": base,
-                    "h": h,
-                    "fingerprint": fingerprint,
-                    "normalized": bool(normalized),
-                    "sparse": bool(sparse),
-                    "options": _canonical_options(eig_options),
-                    "variant": str(variant),
-                    "backend": backend or "unknown",
-                    "lineage": lineage,
-                    "solve_seconds": float(solve_seconds),
-                    "created_at": now,
-                    "last_used": now,
-                }
-            else:
-                index["entries"][entry_id]["last_used"] = now
-            if self._max_bytes is not None:
-                self._evict_over_budget(index)
-            self._write_index(index)
-        with self._counter_lock:
-            self._puts += 1
+            arrays["eigenvalues_lo"] = np.ascontiguousarray(eigenvalues_lo, dtype=np.float64)
+        base = _base_id(fingerprint, normalized, sparse, eig_options, variant)
+        entry_id = _entry_id(base, arrays["eigenvalues"].shape[0])
+        meta = {
+            "base": base,
+            "fingerprint": fingerprint,
+            "normalized": bool(normalized),
+            "sparse": bool(sparse),
+            "options": _canonical_options(eig_options),
+            "variant": str(variant),
+            "backend": backend,
+            "lineage": lineage,
+        }
+        self._engine.put(entry_id, arrays, meta, work=1)
         return entry_id
 
     # ------------------------------------------------------------------
@@ -623,21 +1086,17 @@ class SpectrumStore:
             current = _read_lease_file(path)
             if current is not None and not _lease_is_stale(current, now):
                 return None
-            _atomic_write_text(
-                path,
-                json.dumps(
-                    {
-                        "pid": os.getpid(),
-                        "host": _HOSTNAME,
-                        "token": token,
-                        "fingerprint": fingerprint,
-                        "variant": str(variant),
-                        "created_at": now,
-                        "heartbeat_at": now,
-                        "ttl": effective_ttl,
-                    }
-                ),
-            )
+            lease = {
+                "pid": os.getpid(),
+                "host": _HOSTNAME,
+                "token": token,
+                "fingerprint": fingerprint,
+                "variant": str(variant),
+                "created_at": now,
+                "heartbeat_at": now,
+                "ttl": effective_ttl,
+            }
+            _atomic_write(path, json.dumps(lease).encode(), durable=False)
         return SolveLease(self, path, token, effective_ttl)
 
     def wait_for_lease(
@@ -715,7 +1174,7 @@ class SpectrumStore:
             if meta is not None and meta.get("token") == token:
                 meta["heartbeat_at"] = time.time()
                 with contextlib.suppress(OSError):
-                    _atomic_write_text(path, json.dumps(meta))
+                    _atomic_write(path, json.dumps(meta).encode(), durable=False)
 
     def _drop_lease(self, path: Path, token: str) -> None:
         with self._lease_locked():
@@ -725,174 +1184,37 @@ class SpectrumStore:
                     path.unlink()
 
     def _lease_locked(self):
-        return _flocked(self._root, _LEASE_LOCK_NAME, exclusive=True)
+        return _flocked(self.root, _LEASE_LOCK_NAME, exclusive=True)
 
     # ------------------------------------------------------------------
     # management
     # ------------------------------------------------------------------
-    def entries(self) -> List[Dict[str, object]]:
-        """Metadata of every stored spectrum (id, graph, h, cost, size)."""
-        with self._locked(exclusive=False):
-            index = self._read_index(allow_cached=True)
-        rows: List[Dict[str, object]] = []
-        for entry_id, meta in sorted(index["entries"].items()):
-            blob = self._blob_dir / f"{entry_id}.npz"
-            options_meta = meta.get("options") or {}
-            rows.append(
-                {
-                    "entry": entry_id,
-                    "fingerprint": str(meta["fingerprint"])[:12],
-                    "lineage": meta.get("lineage") or "-",
-                    "variant": str(meta.get("variant", "exact")),
-                    "normalized": meta["normalized"],
-                    "sparse": meta["sparse"],
-                    "backend": str(meta.get("backend", "unknown")),
-                    "dtype": str(options_meta.get("dtype", "float64")),
-                    "num_eigenvalues": int(meta["h"]),
-                    "solve_seconds": float(meta["solve_seconds"]),
-                    "bytes": blob.stat().st_size if blob.exists() else 0,
-                }
-            )
-        return rows
-
     def stats(self) -> Dict[str, object]:
         """Aggregate store statistics (persisted + this handle's traffic)."""
-        with self._locked(exclusive=False):
-            index = self._read_index(allow_cached=True)
-        entries = index["entries"]
-        total_bytes = 0
-        graphs = set()
-        for entry_id, meta in entries.items():
-            graphs.add(meta["fingerprint"])
-            blob = self._blob_dir / f"{entry_id}.npz"
-            if blob.exists():
-                total_bytes += blob.stat().st_size
         leases = self.leases()
         return {
-            "root": str(self._root),
-            "num_entries": len(entries),
-            "num_graphs": len(graphs),
-            "total_bytes": total_bytes,
-            "max_bytes": self._max_bytes,
-            "solves_recorded": int(index.get("solves_recorded", 0)),
-            "handle_hits": self._hits,
-            "handle_misses": self._misses,
-            "handle_puts": self._puts,
+            **super().stats(),
+            "max_bytes": self.max_bytes,
             "lease_ttl": self._lease_ttl,
             "active_leases": sum(1 for lease in leases if not lease["stale"]),
             "stale_leases": sum(1 for lease in leases if lease["stale"]),
         }
 
-    def clear(
-        self,
-        lineage: Optional[str] = None,
-        fingerprint_prefix: Optional[str] = None,
-    ) -> int:
-        """Delete entries; returns the count removed.
-
-        Without filters everything goes (index counters included).  With
-        ``lineage`` only entries recorded under that family name are removed;
-        with ``fingerprint_prefix`` only entries whose graph fingerprint
-        starts with the prefix.  Filters compose (AND); a filtered clear
-        keeps the ``solves_recorded`` counter (the work was still done).
-        """
-        if not self._root.exists():
-            return 0
-        with self._locked(exclusive=True):
-            index = self._read_index()
-            if lineage is None and fingerprint_prefix is None:
-                removed = len(index["entries"])
-                for entry_id in index["entries"]:
-                    with contextlib.suppress(OSError):
-                        (self._blob_dir / f"{entry_id}.npz").unlink()
-                self._write_index(self._empty_index())
-                return removed
-            doomed = [
-                entry_id
-                for entry_id, meta in index["entries"].items()
-                if (lineage is None or meta.get("lineage") == lineage)
-                and (
-                    fingerprint_prefix is None
-                    or str(meta.get("fingerprint", "")).startswith(fingerprint_prefix)
-                )
-            ]
-            for entry_id in doomed:
-                with contextlib.suppress(OSError):
-                    (self._blob_dir / f"{entry_id}.npz").unlink()
-                del index["entries"][entry_id]
-            if doomed:
-                self._write_index(index)
-        return len(doomed)
-
     def verify(self, fix: bool = False) -> Dict[str, object]:
         """Integrity-check the store; optionally repair it.
 
-        Detects three failure classes:
-
-        * **missing** — index entries whose ``.npz`` blob is gone,
-        * **corrupt** — blobs that fail to load or whose eigenvalue vector is
-          malformed (wrong length, non-ascending, non-finite),
-        * **orphaned** — ``.npz`` files in the blob directory that no index
-          entry references (e.g. left behind by an index reset),
-        * **stale leases** — solve-lease files whose holder is dead
-          (expired heartbeat or dead pid on this host); live leases are
-          reported but never flagged.
-
-        With ``fix=True`` missing/corrupt entries are dropped from the index
-        and corrupt/orphaned blob files deleted.  Orphan deletion re-scans
-        under the exclusive lock and skips blobs younger than a minute:
-        :meth:`put` writes the blob *before* indexing it, so a fresh blob
-        may simply not be indexed yet by a concurrent writer.  Stale lease
-        files are deleted after a re-check under the lease lock (a waiter
-        may have legitimately taken one over since the scan).  Returns a
-        report dict.
+        Reports **missing** blobs, **corrupt** ones (bytes that disagree with
+        the indexed sha256, fail to load, or break the codec's invariants),
+        **orphaned** files no index entry references (e.g. from a writer
+        killed mid-put) and **stale leases** (dead holder; live leases are
+        counted, never flagged).  ``fix=True`` drops missing/corrupt entries,
+        deletes orphans older than a minute, and deletes stale lease files
+        after a re-check under the lease lock (a waiter may have taken one
+        over since the scan).  Returns a report dict.
         """
-        with self._locked(exclusive=False):
-            index = self._read_index()
-        missing: List[str] = []
-        corrupt: List[str] = []
-        for entry_id, meta in sorted(index["entries"].items()):
-            blob = self._blob_dir / f"{entry_id}.npz"
-            if not blob.exists():
-                missing.append(entry_id)
-                continue
-            try:
-                with np.load(blob) as data:
-                    values = np.asarray(data["eigenvalues"], dtype=np.float64)
-                    float(data["solve_seconds"])
-                    lo = None
-                    if "eigenvalues_lo" in data.files:
-                        lo = np.asarray(data["eigenvalues_lo"], dtype=np.float64)
-                ok = (
-                    values.ndim == 1
-                    and values.shape[0] == int(meta["h"])
-                    and bool(np.all(np.isfinite(values)))
-                    and bool(np.all(np.diff(values) >= -1e-9))
-                )
-                if ok and lo is not None:
-                    # Interval variants: lower ends must be well-formed and
-                    # never exceed the uppers (the interlacing invariant).
-                    ok = (
-                        lo.shape == values.shape
-                        and bool(np.all(np.isfinite(lo)))
-                        and bool(np.all(np.diff(lo) >= -1e-9))
-                        and bool(np.all(lo <= values + 1e-9))
-                    )
-            except (OSError, KeyError, ValueError, zipfile.BadZipFile):
-                ok = False
-            if not ok:
-                corrupt.append(entry_id)
-        known = {f"{entry_id}.npz" for entry_id in index["entries"]}
-        orphaned: List[str] = []
-        if self._blob_dir.exists():
-            orphaned = sorted(
-                name.name
-                for name in self._blob_dir.glob("*.npz")
-                if name.name not in known
-            )
+        report = super().verify(fix)
         lease_rows = self.leases()
         stale_leases = sorted(row["lease"] for row in lease_rows if row["stale"])
-        removed = 0
         leases_removed = 0
         if fix and stale_leases:
             with self._lease_locked():
@@ -904,265 +1226,37 @@ class SpectrumStore:
                         with contextlib.suppress(OSError):
                             path.unlink()
                             leases_removed += 1
-        if fix and (missing or corrupt or orphaned):
-            with self._locked(exclusive=True):
-                index = self._read_index()
-                for entry_id in missing + corrupt:
-                    if entry_id in index["entries"]:
-                        del index["entries"][entry_id]
-                        removed += 1
-                    with contextlib.suppress(OSError):
-                        (self._blob_dir / f"{entry_id}.npz").unlink()
-                self._write_index(index)
-                # Orphans re-derived from the fresh index inside the lock (a
-                # racing put may have indexed one since the scan), and young
-                # blobs are left alone — they may be a put in flight whose
-                # index write is queued behind this very lock.
-                known_now = {f"{entry_id}.npz" for entry_id in index["entries"]}
-                cutoff = time.time() - 60.0
-                for name in orphaned:
-                    if name in known_now:
-                        continue
-                    blob = self._blob_dir / name
-                    with contextlib.suppress(OSError):
-                        if blob.stat().st_mtime <= cutoff:
-                            blob.unlink()
-        return {
-            "root": str(self._root),
-            "entries_checked": len(index["entries"]),
-            "missing": missing,
-            "corrupt": corrupt,
-            "orphaned_blobs": orphaned,
-            "active_leases": sum(1 for row in lease_rows if not row["stale"]),
-            "stale_leases": stale_leases,
-            "ok": not (missing or corrupt or orphaned or stale_leases),
-            "fixed": bool(fix),
-            "entries_removed": removed,
-            "leases_removed": leases_removed,
-        }
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _ensure_dirs(self) -> None:
-        """Create the store tree on first *write*.
-
-        Read-only operations (``get``, ``stats``, ``cache stats`` on a
-        mistyped path) must not scatter empty store directories around.
-        """
-        self._blob_dir.mkdir(parents=True, exist_ok=True)
-
-    @staticmethod
-    def _empty_index() -> Dict[str, object]:
-        return {"format_version": _FORMAT_VERSION, "solves_recorded": 0, "entries": {}}
-
-    def _read_index(self, allow_cached: bool = False) -> Dict[str, object]:
-        """Parse the index file.
-
-        ``allow_cached=True`` (read-only paths) reuses the last parsed index
-        while the file is byte-identical; write paths always parse fresh and
-        never publish their (about-to-be-mutated) dict into the cache.
-        """
-        path = self._root / _INDEX_NAME
-        stat_key = None
-        if allow_cached:
-            try:
-                stat = path.stat()
-                stat_key = (stat.st_mtime_ns, stat.st_size, stat.st_ino)
-            except OSError:
-                stat_key = None
-            if stat_key is not None:
-                with self._counter_lock:
-                    cached = self._index_cache
-                if cached is not None and cached[0] == stat_key:
-                    return cached[1]
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return self._empty_index()
-        if data.get("format_version") != _FORMAT_VERSION:
-            return self._empty_index()
-        data.setdefault("entries", {})
-        if stat_key is not None:
-            with self._counter_lock:
-                self._index_cache = (stat_key, data)
-        return data
-
-    def _write_index(self, index: Dict[str, object]) -> None:
-        self._atomic_write_text(self._root / _INDEX_NAME, json.dumps(index, indent=1))
-        with self._counter_lock:
-            self._index_cache = None
-
-    def _touch(self, entry_id: str) -> None:
-        """Refresh an entry's ``last_used`` stamp (LRU bookkeeping)."""
-        with self._locked(exclusive=True):
-            index = self._read_index()
-            meta = index["entries"].get(entry_id)
-            if meta is not None:
-                meta["last_used"] = time.time()
-                self._write_index(index)
-
-    def _evict_over_budget(self, index: Dict[str, object]) -> None:
-        """Evict least-recently-used entries until blobs fit ``max_bytes``.
-
-        Called with the exclusive lock held and the (mutable) index dict;
-        the caller writes the index afterwards.  The newest entry is never
-        evicted — a single over-budget spectrum is better than an empty
-        store that re-solves forever.
-        """
-        entries: Dict[str, Dict] = index["entries"]
-        sizes: Dict[str, int] = {}
-        for entry_id in entries:
-            blob = self._blob_dir / f"{entry_id}.npz"
-            try:
-                sizes[entry_id] = blob.stat().st_size
-            except OSError:
-                sizes[entry_id] = 0
-        total = sum(sizes.values())
-        if total <= self._max_bytes:
-            return
-        by_age = sorted(
-            entries,
-            key=lambda e: float(entries[e].get("last_used", entries[e].get("created_at", 0.0))),
+        report.update(
+            active_leases=sum(1 for row in lease_rows if not row["stale"]),
+            stale_leases=stale_leases,
+            ok=bool(report["ok"] and not stale_leases),
+            leases_removed=leases_removed,
         )
-        for entry_id in by_age[:-1]:  # keep at least the most recent entry
-            if total <= self._max_bytes:
-                break
-            with contextlib.suppress(OSError):
-                (self._blob_dir / f"{entry_id}.npz").unlink()
-            total -= sizes.get(entry_id, 0)
-            del entries[entry_id]
-
-    def _drop_entry(self, entry_id: str) -> None:
-        with contextlib.suppress(OSError):
-            (self._blob_dir / f"{entry_id}.npz").unlink()
-        with self._locked(exclusive=True):
-            index = self._read_index()
-            if entry_id in index["entries"]:
-                del index["entries"][entry_id]
-                self._write_index(index)
-
-    def _atomic_write_text(self, path: Path, text: str) -> None:
-        _atomic_write_text(path, text)
-
-    def _atomic_write_npz(self, path: Path, **arrays: np.ndarray) -> None:
-        _atomic_write_npz(path, **arrays)
-
-    def _locked(self, exclusive: bool):
-        """Hold the store-wide advisory file lock (no-op where unsupported)."""
-        return _flocked(self._root, _LOCK_NAME, exclusive)
+        return report
 
 
-@dataclass(frozen=True)
-class StoredCutTable:
-    """One graph's per-vertex convex min-cut table loaded from disk.
-
-    ``vertices``/``values`` are aligned int64 arrays (read-only): entry ``i``
-    says ``C(vertices[i], G) == values[i]``.  The table may be partial — a
-    capped or pruned sweep only ever pays for the cuts it needed — and
-    :meth:`CutStore.merge` unions new entries in.
-    """
-
-    vertices: np.ndarray
-    values: np.ndarray
-
-    def as_dict(self) -> Dict[int, int]:
-        return dict(zip(self.vertices.tolist(), self.values.tolist()))
-
-    def __len__(self) -> int:
-        return int(self.vertices.shape[0])
-
-
-class CutStore:
+class CutStore(_StoreHandle):
     """Persistent, fingerprint-keyed archive of convex min-cut tables.
 
     The cut values ``C(v, G)`` of the convex min-cut baseline are independent
     of the memory size ``M`` *and* of the max-flow backend (all backends are
     exact), so one on-disk table per graph fingerprint makes every warm
     re-run — across processes, pool workers, and sessions — perform zero
-    max-flow calls.  Layout mirrors :class:`SpectrumStore` (it shares the
-    same root directory by default): one ``.npz`` blob per graph under
-    ``<root>/cuts/``, a ``cuts-index.json``, and an advisory ``.cuts.lock``
-    for concurrent writers.  The persistent ``flows_recorded`` counter sums
-    the max-flow calls somebody actually paid for, which is what the CI
-    warm-run smoke asserts on.
+    max-flow calls.  It is the cut namespace of a store directory (reach it
+    as :attr:`SpectrumStore.cuts`); ``flows_recorded`` sums the max-flow
+    calls somebody actually paid for, which the CI warm-run smoke asserts on.
     """
 
-    _INDEX_NAME = "cuts-index.json"
-    _LOCK_NAME = ".cuts.lock"
-    _BLOB_DIR = "cuts"
-
     def __init__(self, root: Union[str, Path, None] = None) -> None:
-        self._root = Path(root) if root is not None else default_store_root()
-        self._blob_dir = self._root / self._BLOB_DIR
-        self._counter_lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._puts = 0
+        self._engine = _Engine(Path(root) if root is not None else default_store_root(), _CUTS)
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def root(self) -> Path:
-        return self._root
-
-    @property
-    def hits(self) -> int:
-        """Lookups this handle served from disk."""
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        """Lookups this handle could not serve."""
-        return self._misses
-
-    @property
-    def puts(self) -> int:
-        """Merges this handle wrote."""
-        return self._puts
-
-    def __len__(self) -> int:
-        return len(self._read_index()["entries"])
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CutStore(root={str(self._root)!r}, entries={len(self)})"
-
-    # ------------------------------------------------------------------
-    # lookup / publish
-    # ------------------------------------------------------------------
-    @_timed_io("cut", "get")
     def get(self, fingerprint: str) -> Optional[StoredCutTable]:
         """Load the stored cut table for a graph fingerprint, or ``None``."""
-        table = self._load(fingerprint)
-        with self._counter_lock:
-            if table is None:
-                self._misses += 1
-            else:
-                self._hits += 1
-        return table
-
-    def _load(self, fingerprint: str) -> Optional[StoredCutTable]:
-        """Read a table from disk without touching the traffic counters.
-
-        Internal readers (:meth:`merge` unioning the existing table,
-        :meth:`verify` integrity checks) go through here so ``cache stats``
-        only reports *lookup* traffic.
-        """
-        blob = self._blob_dir / f"{fingerprint}.npz"
-        try:
-            with np.load(blob) as data:
-                vertices = np.ascontiguousarray(data["vertices"], dtype=np.int64)
-                values = np.ascontiguousarray(data["values"], dtype=np.int64)
-        except (OSError, KeyError, ValueError, zipfile.BadZipFile):
+        found = self._engine.get(lambda entries: [fingerprint] if fingerprint in entries else [])
+        if found is None:
             return None
-        if vertices.shape != values.shape or vertices.ndim != 1:
-            return None
-        vertices.flags.writeable = False
-        values.flags.writeable = False
-        return StoredCutTable(vertices, values)
+        return StoredCutTable(found[2]["vertices"], found[2]["values"])
 
-    @_timed_io("cut", "merge")
     def merge(
         self,
         fingerprint: str,
@@ -1178,215 +1272,18 @@ class CutStore:
         max-flow solves paid to produce the new entries; it accumulates into
         the persistent ``flows_recorded`` counter even when a racing writer
         published the same cuts first (the counter tracks work done, not
-        entries, exactly like ``solves_recorded``).
+        entries, exactly like ``solves_recorded``).  A corrupt stored table
+        is replaced by the new entries; a failed disk write is logged and
+        skipped.
         """
         new_vertices = np.asarray(vertices, dtype=np.int64).reshape(-1)
         new_values = np.asarray(values, dtype=np.int64).reshape(-1)
         if new_vertices.shape != new_values.shape:
             raise ValueError("vertices and values must have equal length")
-        self._blob_dir.mkdir(parents=True, exist_ok=True)
-        now = time.time()
-        with _flocked(self._root, self._LOCK_NAME, exclusive=True):
-            existing = self._load(fingerprint)
-            if existing is not None and len(existing):
-                merged_v = np.concatenate([existing.vertices, new_vertices])
-                merged_c = np.concatenate([existing.values, new_values])
-            else:
-                merged_v, merged_c = new_vertices, new_values
-            # Later entries win on duplicates (they are identical anyway:
-            # the cut value of a vertex is a graph invariant).
-            order = np.arange(merged_v.shape[0] - 1, -1, -1)
-            uniq, first = np.unique(merged_v[order], return_index=True)
-            table_v = uniq
-            table_c = merged_c[order][first]
-            _atomic_write_npz(
-                self._blob_dir / f"{fingerprint}.npz",
-                vertices=table_v,
-                values=table_c,
-            )
-            index = self._read_index()
-            index["flows_recorded"] = int(index.get("flows_recorded", 0)) + int(
-                flow_calls
-            )
-            meta = index["entries"].setdefault(
-                fingerprint, {"created_at": now}
-            )
-            meta.update(
-                {
-                    "num_cuts": int(table_v.shape[0]),
-                    "backend": backend or meta.get("backend", "unknown"),
-                    "lineage": lineage if lineage is not None else meta.get("lineage"),
-                    "last_used": now,
-                }
-            )
-            _atomic_write_text(
-                self._root / self._INDEX_NAME, json.dumps(index, indent=1)
-            )
-        with self._counter_lock:
-            self._puts += 1
-        return int(table_v.shape[0])
-
-    # ------------------------------------------------------------------
-    # management
-    # ------------------------------------------------------------------
-    def entries(self) -> List[Dict[str, object]]:
-        """Metadata of every stored cut table."""
-        index = self._read_index()
-        rows: List[Dict[str, object]] = []
-        for fingerprint, meta in sorted(index["entries"].items()):
-            blob = self._blob_dir / f"{fingerprint}.npz"
-            rows.append(
-                {
-                    "fingerprint": fingerprint[:12],
-                    "lineage": meta.get("lineage") or "-",
-                    "backend": str(meta.get("backend", "unknown")),
-                    "num_cuts": int(meta.get("num_cuts", 0)),
-                    "bytes": blob.stat().st_size if blob.exists() else 0,
-                }
-            )
-        return rows
-
-    def stats(self) -> Dict[str, object]:
-        """Aggregate cut-store statistics (persisted + handle traffic)."""
-        index = self._read_index()
-        entries = index["entries"]
-        total_bytes = 0
-        for fingerprint in entries:
-            blob = self._blob_dir / f"{fingerprint}.npz"
-            if blob.exists():
-                total_bytes += blob.stat().st_size
-        return {
-            "root": str(self._root),
-            "num_graphs": len(entries),
-            "num_cuts": sum(int(m.get("num_cuts", 0)) for m in entries.values()),
-            "total_bytes": total_bytes,
-            "flows_recorded": int(index.get("flows_recorded", 0)),
-            "handle_hits": self._hits,
-            "handle_misses": self._misses,
-            "handle_puts": self._puts,
-        }
-
-    def clear(
-        self,
-        lineage: Optional[str] = None,
-        fingerprint_prefix: Optional[str] = None,
-    ) -> int:
-        """Delete cut tables; returns the count removed.
-
-        Without filters everything goes (counters included).  With
-        ``lineage`` only tables recorded under that family name are removed;
-        with ``fingerprint_prefix`` only matching graphs.  Filters compose
-        (AND) and keep the ``flows_recorded`` counter (the work was still
-        done) — the same semantics as :meth:`SpectrumStore.clear`.
-        """
-        if not self._root.exists():
-            return 0
-        with _flocked(self._root, self._LOCK_NAME, exclusive=True):
-            index = self._read_index()
-            if lineage is None and fingerprint_prefix is None:
-                doomed = list(index["entries"])
-                new_index = self._empty_index()
-            else:
-                doomed = [
-                    fp
-                    for fp, meta in index["entries"].items()
-                    if (lineage is None or meta.get("lineage") == lineage)
-                    and (fingerprint_prefix is None or fp.startswith(fingerprint_prefix))
-                ]
-                for fp in doomed:
-                    del index["entries"][fp]
-                new_index = index
-            for fp in doomed:
-                with contextlib.suppress(OSError):
-                    (self._blob_dir / f"{fp}.npz").unlink()
-            if doomed or (lineage is None and fingerprint_prefix is None):
-                _atomic_write_text(
-                    self._root / self._INDEX_NAME, json.dumps(new_index, indent=1)
-                )
-        return len(doomed)
-
-    def verify(self, fix: bool = False) -> Dict[str, object]:
-        """Integrity-check the cut store; optionally repair it.
-
-        Mirrors :meth:`SpectrumStore.verify`: **missing** (indexed table
-        whose blob is gone), **corrupt** (blob unreadable, malformed, or
-        disagreeing with the indexed ``num_cuts``, or negative/out-of-range
-        cut values) and **orphaned** (blobs no index entry references).
-        With ``fix=True`` missing/corrupt entries are dropped, corrupt blobs
-        deleted, and orphans older than a minute removed (a younger blob may
-        be a racing :meth:`merge` whose index write is still queued).
-        """
-        with _flocked(self._root, self._LOCK_NAME, exclusive=False):
-            index = self._read_index()
-        missing: List[str] = []
-        corrupt: List[str] = []
-        for fingerprint, meta in sorted(index["entries"].items()):
-            blob = self._blob_dir / f"{fingerprint}.npz"
-            if not blob.exists():
-                missing.append(fingerprint)
-                continue
-            table = self._load(fingerprint)
-            ok = (
-                table is not None
-                and len(table) == int(meta.get("num_cuts", -1))
-                and (len(table) == 0 or int(table.values.min()) >= 0)
-            )
-            if not ok:
-                corrupt.append(fingerprint)
-        known = {f"{fingerprint}.npz" for fingerprint in index["entries"]}
-        orphaned: List[str] = []
-        if self._blob_dir.exists():
-            orphaned = sorted(
-                blob.name
-                for blob in self._blob_dir.glob("*.npz")
-                if blob.name not in known
-            )
-        removed = 0
-        if fix and (missing or corrupt or orphaned):
-            with _flocked(self._root, self._LOCK_NAME, exclusive=True):
-                index = self._read_index()
-                for fingerprint in missing + corrupt:
-                    if fingerprint in index["entries"]:
-                        del index["entries"][fingerprint]
-                        removed += 1
-                    with contextlib.suppress(OSError):
-                        (self._blob_dir / f"{fingerprint}.npz").unlink()
-                _atomic_write_text(
-                    self._root / self._INDEX_NAME, json.dumps(index, indent=1)
-                )
-                known_now = {f"{fp}.npz" for fp in index["entries"]}
-                cutoff = time.time() - 60.0
-                for name in orphaned:
-                    if name in known_now:
-                        continue
-                    blob = self._blob_dir / name
-                    with contextlib.suppress(OSError):
-                        if blob.stat().st_mtime <= cutoff:
-                            blob.unlink()
-        return {
-            "root": str(self._root),
-            "entries_checked": len(index["entries"]),
-            "missing": missing,
-            "corrupt": corrupt,
-            "orphaned_blobs": orphaned,
-            "ok": not (missing or corrupt or orphaned),
-            "fixed": bool(fix),
-            "entries_removed": removed,
-        }
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _empty_index() -> Dict[str, object]:
-        return {"format_version": _FORMAT_VERSION, "flows_recorded": 0, "entries": {}}
-
-    def _read_index(self) -> Dict[str, object]:
-        try:
-            data = json.loads((self._root / self._INDEX_NAME).read_text())
-        except (OSError, json.JSONDecodeError):
-            return self._empty_index()
-        if data.get("format_version") != _FORMAT_VERSION:
-            return self._empty_index()
-        data.setdefault("entries", {})
-        return data
+        table = self._engine.put(
+            fingerprint,
+            {"vertices": new_vertices, "values": new_values},
+            {"fingerprint": fingerprint, "backend": backend, "lineage": lineage},
+            work=flow_calls,
+        )
+        return int(table["vertices"].shape[0])

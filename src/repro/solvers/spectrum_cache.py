@@ -373,19 +373,17 @@ class SpectrumCache:
                 graph, h, normalized, options, use_sparse, lineage
             )
             if self._store is not None:
-                try:
-                    self._store.put(
-                        base_key[0],
-                        values,
-                        solve_seconds,
-                        normalized=bool(normalized),
-                        sparse=bool(use_sparse),
-                        eig_options=options,
-                        backend=backend,
-                        lineage=lineage,
-                    )
-                except OSError:
-                    pass  # a full/read-only disk must not break the computation
+                # A full or read-only disk is logged by the store, never raised.
+                self._store.put(
+                    base_key[0],
+                    values,
+                    solve_seconds,
+                    normalized=bool(normalized),
+                    sparse=bool(use_sparse),
+                    eig_options=options,
+                    backend=backend,
+                    lineage=lineage,
+                )
         finally:
             # Publish-then-release ordering: followers re-read the store the
             # moment the lease file disappears, so the entry must be there.
@@ -447,18 +445,15 @@ class SpectrumCache:
     # store tier + cross-process lease plumbing
     # ------------------------------------------------------------------
     def _fetch_stored(self, fingerprint, h, normalized, use_sparse, options, variant):
-        """One store lookup; a broken store reads as a miss."""
-        try:
-            return self._store.get(
-                fingerprint,
-                h,
-                normalized=bool(normalized),
-                sparse=bool(use_sparse),
-                eig_options=options,
-                variant=variant,
-            )
-        except OSError:
-            return None
+        """One store lookup (the store reads a broken blob or disk as a miss)."""
+        return self._store.get(
+            fingerprint,
+            h,
+            normalized=bool(normalized),
+            sparse=bool(use_sparse),
+            eig_options=options,
+            variant=variant,
+        )
 
     def _claim_solve(self, fingerprint, h, normalized, use_sparse, options, variant):
         """Contend for the cross-process solve lease on one cold spectrum.
@@ -665,21 +660,18 @@ class SpectrumCache:
                 active.set_attr(backend=interval.backend)
                 _EIG_SECONDS.observe(solve_seconds, backend=interval.backend, dtype=options.dtype)
             if self._store is not None:
-                try:
-                    self._store.put(
-                        base_key[0],
-                        upper,
-                        solve_seconds,
-                        normalized=bool(normalized),
-                        sparse=bool(use_sparse),
-                        eig_options=options,
-                        backend=interval.backend,
-                        lineage=lineage,
-                        variant=variant,
-                        eigenvalues_lo=lower,
-                    )
-                except OSError:
-                    pass
+                self._store.put(
+                    base_key[0],
+                    upper,
+                    solve_seconds,
+                    normalized=bool(normalized),
+                    sparse=bool(use_sparse),
+                    eig_options=options,
+                    backend=interval.backend,
+                    lineage=lineage,
+                    variant=variant,
+                    eigenvalues_lo=lower,
+                )
         finally:
             if lease is not None:
                 lease.release()
