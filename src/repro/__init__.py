@@ -9,7 +9,7 @@ Reproduction of Jain & Zaharia, SPAA 2020.  The package provides:
   computation graph from ordinary Python code (the "solver" of §6.1);
 * :mod:`repro.core` — the spectral bounds (Theorems 4–6), the partition/QP
   machinery they relax, closed-form spectra and the analytical bounds of §5;
-* :mod:`repro.solvers` — dense/Lanczos/power-iteration eigensolvers;
+* :mod:`repro.solvers` — dense, ARPACK, LOBPCG and AMG eigensolvers;
 * :mod:`repro.baselines` — the convex min-cut automatic baseline and exact
   references for tiny graphs;
 * :mod:`repro.pebbling` — a red-blue-pebble-style schedule simulator that

@@ -292,10 +292,8 @@ def sweep(
         its root path) shared by all engines/workers of the sweep.
     solver, dtype:
         Shorthand for ``eig_options``: backend id (``auto``/``dense``/
-        ``sparse``/``lanczos``/``power``/``lobpcg``/``amg``) and precision
-        (``float64``/``float32``).  ``auto`` honours the
-        ``REPRO_SOLVER_BACKEND`` environment variable.  Mutually exclusive
-        with ``eig_options``.
+        ``sparse``/``lobpcg``/``amg``) and precision (``float64``/
+        ``float32``).  Mutually exclusive with ``eig_options``.
     eig_options:
         Full :class:`~repro.solvers.backend.EigenSolverOptions` forwarded to
         every engine/worker of the sweep.

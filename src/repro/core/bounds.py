@@ -197,7 +197,7 @@ def spectral_bound(
         ``True`` uses the out-degree-normalised Laplacian ``L~`` (Theorem 4);
         ``False`` uses ``L / max_out_degree`` (Theorem 5).
     eig_options:
-        Optional eigensolver configuration (backend, tolerance, seed).
+        Optional eigensolver configuration (backend and dtype).
     sparse:
         Force sparse (True) or dense (False) Laplacian assembly; ``None``
         decides by graph size.

@@ -175,7 +175,7 @@ class LaplacianOperator(spla.LinearOperator):
     block_rows:
         Optional row-block size: products are evaluated in row blocks of
         this many rows, bounding the transient output footprint when the
-        right-hand side is a wide block (LOBPCG subspaces, Lanczos bases).
+        right-hand side is a wide block (LOBPCG subspaces).
         ``None`` applies the whole operator at once.
     """
 

@@ -39,15 +39,13 @@ task and fold the workers' span shards back into the same file.  Setting
 ``PATH.profile-<task>-<pid>.pstats``.
 
 ``solve`` and ``sweep`` take ``--solver`` (``auto``/``dense``/``sparse``/
-``lanczos``/``power``/``lobpcg``/``amg``) and ``--dtype``
-(``float64``/``float32``) to pick the spectral backend; every cache tier
-keys on both, so variants coexist.  ``auto`` routes large graphs to the
-AMG-preconditioned LOBPCG backend, and ``$REPRO_SOLVER_BACKEND`` forces a
-backend id for every ``auto`` solve (mirroring ``$REPRO_MINCUT_BACKEND``)
-without touching scripts — it applies to ``solve``, ``sweep`` and ``serve``
-alike.  ``--method spectral-coarse`` (``sweep --methods spectral-coarse``)
-computes a *certified interval* bound from an interlacing-coarsened
-eigensolve: the reported bound is the provably-safe lower end.  ``--mincut-backend`` (``auto``/``dinic``/``array-dinic``/
+``lobpcg``/``amg``) and ``--dtype`` (``float64``/``float32``) to pick the
+spectral backend; every cache tier keys on both, so variants coexist.
+``auto`` picks dense, then ARPACK shift-invert, then the AMG-preconditioned
+LOBPCG backend as graphs grow.  ``--method spectral-coarse``
+(``sweep --methods spectral-coarse``) computes a *certified interval* bound
+from an interlacing-coarsened eigensolve: the reported bound is the
+provably-safe lower end.  ``--mincut-backend`` (``auto``/``dinic``/``array-dinic``/
 ``scipy``) picks the max-flow backend of the convex min-cut baseline
 (``sweep --methods convex-min-cut`` / ``solve --method convex-min-cut``);
 cut values are exact, so all backends share one fingerprint-keyed cut table
@@ -111,8 +109,7 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
         "--solver",
         choices=("auto",) + available_backends(),
         default="auto",
-        help="spectral backend (default: auto = dense / sparse / amg by size; "
-        "$REPRO_SOLVER_BACKEND forces a backend for auto solves)",
+        help="spectral backend (default: auto = dense / sparse / amg by size)",
     )
     parser.add_argument(
         "--dtype",

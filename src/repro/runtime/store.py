@@ -102,8 +102,10 @@ LEASE_TTL_ENV_VAR = "REPRO_LEASE_TTL_SECONDS"
 #: power hands over within half a minute.
 DEFAULT_LEASE_TTL_SECONDS = 30.0
 
-#: Version 2 added the per-entry sha256; older indexes read as empty.
-_FORMAT_VERSION = 2
+#: Version 2 added the per-entry sha256; version 3 keys spectra on the
+#: two-field ``EigenSolverOptions`` (method, dtype).  Older indexes read as
+#: empty, so an old store costs one re-solve, never a wrong answer.
+_FORMAT_VERSION = 3
 _LEASE_DIR = "leases"
 _LEASE_LOCK_NAME = ".leases.lock"
 #: ``verify(fix=True)`` leaves unindexed blob files younger than this alone.

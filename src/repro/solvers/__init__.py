@@ -1,49 +1,33 @@
 """Eigenvalue solvers for graph Laplacians.
 
 The spectral bound of Theorem 4 needs the ``h`` smallest eigenvalues of a
-symmetric positive semi-definite Laplacian.  The paper notes the bound "is not
-only efficiently computable by power iteration" and costs ``O(h n^2)`` with
-Lanczos-Arnoldi; this subpackage therefore provides
+symmetric positive semi-definite Laplacian.  This subpackage provides
 
-* :mod:`backends` — the :class:`SpectralBackend` protocol and registry
-  (``dense``, ``sparse``, ``lanczos``, ``power``, ``lobpcg``, ``amg``), plus
-  :class:`WarmStartContext` for seeding consecutive family solves with the
-  previous level's Ritz vectors,
+* :mod:`backends` — the :class:`SpectralBackend` protocol, its four
+  implementations (``dense``, ``sparse``, ``lobpcg``, ``amg``), ``auto``
+  routing, :func:`solve_smallest`, and :class:`WarmStartContext` for
+  seeding re-solves with earlier Ritz vectors,
+* :mod:`backend` — :class:`EigenSolverOptions` (``method`` and ``dtype``,
+  the hashable object all cache tiers key on),
 * :mod:`amg` — a pure-SciPy smoothed-aggregation multigrid V-cycle (the
   ``amg`` backend's preconditioner when ``pyamg`` is not installed),
 * :mod:`coarsen` — interlacing-certified spectral coarsening: eigenvalue
   *intervals* from a principal-submatrix solve at a fraction of the cost,
-* :mod:`backend` — :class:`EigenSolverOptions` (method/dtype/tolerance, the
-  hashable object all cache tiers key on) and the legacy entry point
-  :func:`smallest_eigenvalues`,
 * :mod:`dense` — exact dense spectra via LAPACK (``numpy.linalg.eigvalsh``),
-* :mod:`lanczos` — an in-package Lanczos iteration with full
-  reorthogonalisation (matrix-free, works with dense and sparse operators),
-* :mod:`power_iteration` — shifted power iteration with deflation (the
-  slowest option, included because it is the simplest building block the
-  paper's efficiency claim refers to),
+  the reference the tests check every backend against,
 * :mod:`spectrum_cache` — an LRU cache of eigensolves keyed by the graph's
   structural fingerprint, shared by all bound computations so repeated
   bounds on the same graph solve once.
-
-Deprecated package-level imports: ``lanczos_smallest_eigenvalues`` and
-``power_iteration_smallest_eigenvalues`` remain importable from this package
-for backwards compatibility but emit :class:`DeprecationWarning` — import
-them from their defining modules, or go through the backend registry.
 """
 
-import warnings
-
-from repro.solvers.backend import EigenSolverOptions, smallest_eigenvalues
+from repro.solvers.backend import EigenSolverOptions
 from repro.solvers.backends import (
-    SOLVER_BACKEND_ENV_VAR,
     BackendSolveResult,
     SpectralBackend,
     WarmStartContext,
     available_backends,
     create_backend,
     default_warm_start_context,
-    register_backend,
     resolve_method,
     solve_smallest,
 )
@@ -53,7 +37,6 @@ from repro.solvers.coarsen import (
     coarse_variant,
 )
 from repro.solvers.dense import dense_spectrum, dense_smallest_eigenvalues
-from repro.solvers.power_iteration import power_iteration_largest_eigenvalue
 from repro.solvers.spectrum_cache import (
     CachedIntervalSpectrum,
     CachedSpectrum,
@@ -62,17 +45,14 @@ from repro.solvers.spectrum_cache import (
 )
 
 __all__ = [
-    "smallest_eigenvalues",
     "solve_smallest",
     "resolve_method",
     "EigenSolverOptions",
     "BackendSolveResult",
     "SpectralBackend",
     "WarmStartContext",
-    "SOLVER_BACKEND_ENV_VAR",
     "available_backends",
     "create_backend",
-    "register_backend",
     "default_warm_start_context",
     "IntervalSpectrum",
     "certified_interval_spectrum",
@@ -83,37 +63,4 @@ __all__ = [
     "default_spectrum_cache",
     "dense_spectrum",
     "dense_smallest_eigenvalues",
-    "lanczos_smallest_eigenvalues",
-    "power_iteration_largest_eigenvalue",
-    "power_iteration_smallest_eigenvalues",
 ]
-
-#: Deprecated package-level names -> (module, attribute, replacement hint).
-_DEPRECATED = {
-    "lanczos_smallest_eigenvalues": (
-        "repro.solvers.lanczos",
-        "lanczos_smallest_eigenvalues",
-        "repro.solvers.lanczos.lanczos_smallest_eigenvalues or the 'lanczos' backend",
-    ),
-    "power_iteration_smallest_eigenvalues": (
-        "repro.solvers.power_iteration",
-        "power_iteration_smallest_eigenvalues",
-        "repro.solvers.power_iteration.power_iteration_smallest_eigenvalues or "
-        "the 'power' backend",
-    ),
-}
-
-
-def __getattr__(name: str):
-    """Lazy deprecation shims for direct solver-function imports."""
-    if name in _DEPRECATED:
-        module_name, attribute, hint = _DEPRECATED[name]
-        warnings.warn(
-            f"importing {name} from repro.solvers is deprecated; use {hint}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(module_name), attribute)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

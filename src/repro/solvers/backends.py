@@ -1,32 +1,31 @@
-"""Pluggable spectral backends: protocol, registry, and implementations.
+"""Spectral backends: protocol, the four implementations, ``auto`` routing.
 
-:mod:`repro.solvers.backend` used to be a single dispatch function; this
-module turns the solver layer into first-class objects so that backends can
+Four backends compute the ``k`` smallest eigenvalues of a graph Laplacian,
+each a :class:`SpectralBackend` subclass with an ``id`` and its own
+:meth:`~SpectralBackend.solve`:
 
-* be **registered** under an id (``dense``, ``sparse``, ``lanczos``,
-  ``power``, ``lobpcg``) and constructed from
-  :class:`~repro.solvers.backend.EigenSolverOptions`,
-* carry **state across solves** — iterative backends accept an initial
-  subspace, and :class:`WarmStartContext` threads the Ritz vectors of one
-  solve into the next solve of the same *lineage* (e.g. consecutive FFT
-  family levels, whose low-frequency eigenvectors are close after embedding),
-* run in **mixed precision** — ``EigenSolverOptions.dtype`` selects the
-  arithmetic (``float64`` exact-ish, ``float32`` roughly twice the matvec
-  throughput); results are always returned as float64 so downstream bound
-  code is unchanged, and caches key on the dtype so variants coexist.
+* ``dense`` — LAPACK ``eigvalsh``, exact, ``O(n^3)``; the reference;
+* ``sparse`` — ARPACK shift-invert;
+* ``lobpcg`` — shift-inverted blocked LOBPCG, warm-startable;
+* ``amg`` — LOBPCG preconditioned by an algebraic-multigrid V-cycle, the
+  paper-scale backend.
 
-The legacy entry point :func:`repro.solvers.backend.smallest_eigenvalues`
-is now a thin wrapper over :func:`solve_smallest` below.
+``auto`` is a dispatch, not a backend: :func:`resolve_method` picks dense,
+sparse or amg by size.  :class:`~repro.solvers.backend.EigenSolverOptions`
+selects a backend and the arithmetic precision (``float64`` or ``float32``;
+results are always returned as float64 and caches key on the dtype).
+Tolerances, iteration caps and seeds are the module constants below, so no
+caller can cut an iterative solve short.  :class:`WarmStartContext` threads
+the Ritz vectors of one LOBPCG solve into the next solve of the same graph.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,8 +35,6 @@ from scipy.linalg import LinAlgWarning
 from repro.obs.metrics import global_registry
 from repro.solvers.amg import smoothed_aggregation_preconditioner
 from repro.solvers.dense import dense_smallest_eigenvalues
-from repro.solvers.lanczos import lanczos_smallest_eigenvalues
-from repro.solvers.power_iteration import power_iteration_smallest_eigenvalues
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.solvers.backend import EigenSolverOptions
@@ -46,10 +43,8 @@ __all__ = [
     "BackendSolveResult",
     "SpectralBackend",
     "WarmStartContext",
-    "SOLVER_BACKEND_ENV_VAR",
     "available_backends",
     "create_backend",
-    "register_backend",
     "resolve_method",
     "solve_smallest",
     "default_warm_start_context",
@@ -63,9 +58,10 @@ _BACKEND_SOLVES = global_registry().counter(
     labelnames=("backend", "warm"),
 )
 
-#: Environment escape hatch: when set (and the caller asked for ``auto``),
-#: every solve routes to this backend id.  Mirrors ``REPRO_MINCUT_BACKEND``.
-SOLVER_BACKEND_ENV_VAR = "REPRO_SOLVER_BACKEND"
+#: Below this dimension ``auto`` uses the dense backend: LAPACK's blocked
+#: ``syevd`` on a few-thousand-dimensional Laplacian takes a couple of
+#: seconds, which beats ARPACK shift-invert and is exact.
+DENSE_CUTOFF = 6000
 
 #: Above this size ``auto`` prefers the AMG-preconditioned backend over
 #: ARPACK shift-invert: the sparse-LU fill of shift-invert grows
@@ -76,6 +72,12 @@ AMG_AUTO_CUTOFF = 50_000
 #: ``auto`` never routes to ``dense`` above this size, whatever ``k`` — the
 #: dense matrix alone would be tens of GB.
 DENSE_AUTO_CAP = 50_000
+
+#: Convergence tolerance of the iterative backends (float64 arithmetic).
+TOLERANCE = 1e-8
+
+#: Seed of the random start blocks and of the AMG aggregation.
+SEED = 0
 
 #: Supported floating-point precisions (option value -> numpy dtype).
 DTYPES: Dict[str, np.dtype] = {
@@ -142,8 +144,9 @@ def _as_sparse(matrix: MatrixLike) -> sp.spmatrix:
         tocsr = getattr(matrix, "tocsr", None)
         if not callable(tocsr):
             raise TypeError(
-                f"{type(matrix).__name__} is matrix-free with no tocsr(); "
-                f"use a matvec-only backend (lanczos) instead"
+                f"{type(matrix).__name__} is matrix-free with no tocsr(); every "
+                f"backend needs explicit entries, so pass an assembled matrix or "
+                f"a LaplacianOperator"
             )
         return tocsr()
     return sp.csr_matrix(np.asarray(matrix))
@@ -261,7 +264,7 @@ def default_warm_start_context() -> WarmStartContext:
 
 
 # ----------------------------------------------------------------------
-# protocol + registry
+# protocol
 # ----------------------------------------------------------------------
 class SpectralBackend(ABC):
     """One way of computing the ``k`` smallest eigenvalues of a PSD matrix.
@@ -293,63 +296,9 @@ class SpectralBackend(ABC):
         """Return the ``k`` smallest eigenvalues (ascending, float64)."""
 
 
-_REGISTRY: Dict[str, Callable[["EigenSolverOptions"], SpectralBackend]] = {}
-
-
-def register_backend(cls):
-    """Class decorator registering a :class:`SpectralBackend` under its id."""
-    if not cls.id:
-        raise ValueError(f"{cls.__name__} must define a non-empty id")
-    _REGISTRY[cls.id] = cls
-    return cls
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Registered backend ids, sorted (``auto`` is a dispatch, not a backend)."""
-    return tuple(sorted(_REGISTRY))
-
-
-def create_backend(name: str, options: "EigenSolverOptions") -> SpectralBackend:
-    """Instantiate the backend registered under ``name``."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown spectral backend {name!r}; registered: {available_backends()}"
-        )
-    return factory(options)
-
-
-def resolve_method(method: str, n: int, k: int, options: "EigenSolverOptions") -> str:
-    """Map ``"auto"`` to a concrete backend id.
-
-    Resolution order: an explicit ``method`` always wins; then the
-    ``REPRO_SOLVER_BACKEND`` environment variable (validated against the
-    registry) overrides the size heuristic; then the heuristic picks
-    ``dense`` for small problems (n below ``options.dense_cutoff``, or
-    near-full spectra of moderate size), ``sparse`` (ARPACK shift-invert) up
-    to :data:`AMG_AUTO_CUTOFF`, and ``amg`` beyond — ``auto`` never densifies
-    above :data:`DENSE_AUTO_CAP`.
-    """
-    if method != "auto":
-        return method
-    forced = os.environ.get(SOLVER_BACKEND_ENV_VAR, "").strip()
-    if forced:
-        if forced not in _REGISTRY:
-            raise ValueError(
-                f"{SOLVER_BACKEND_ENV_VAR}={forced!r} is not a registered "
-                f"spectral backend; known: {available_backends()}"
-            )
-        return forced
-    if n <= options.dense_cutoff or (k >= n - 1 and n <= DENSE_AUTO_CAP):
-        return "dense"
-    return "sparse" if n <= AMG_AUTO_CUTOFF else "amg"
-
-
 # ----------------------------------------------------------------------
 # implementations
 # ----------------------------------------------------------------------
-@register_backend
 class DenseBackend(SpectralBackend):
     """Exact LAPACK solve — the reference backend, ``O(n^3)``."""
 
@@ -361,7 +310,6 @@ class DenseBackend(SpectralBackend):
         return BackendSolveResult(np.asarray(values, dtype=np.float64), None, self.id)
 
 
-@register_backend
 class SparseBackend(SpectralBackend):
     """ARPACK shift-invert with a robust fallback chain.
 
@@ -376,7 +324,6 @@ class SparseBackend(SpectralBackend):
 
     def solve(self, matrix, k, initial_subspace=None):
         n = matrix.shape[0]
-        options = self.options
         if k >= n - 1 or n <= 2:
             values = dense_smallest_eigenvalues(
                 _cast_matrix(_densify(matrix), self.dtype), k
@@ -384,7 +331,7 @@ class SparseBackend(SpectralBackend):
             return BackendSolveResult(np.asarray(values, dtype=np.float64), None, self.id)
         mat = _cast_matrix(_as_sparse(matrix).tocsc(), self.dtype)
         # Graph Laplacians of symmetric graphs have heavily clustered
-        # spectra; a generous Lanczos basis (ncv) is needed for ARPACK to
+        # spectra; a generous Krylov basis (ncv) is needed for ARPACK to
         # resolve whole clusters instead of returning a too-large value from
         # the middle of one.
         ncv = min(n - 1, max(4 * k + 1, 120))
@@ -395,7 +342,7 @@ class SparseBackend(SpectralBackend):
                 sigma=-1e-6,
                 which="LM",
                 return_eigenvectors=False,
-                tol=options.tolerance,
+                tol=TOLERANCE,
                 ncv=ncv,
             )
             return BackendSolveResult(np.asarray(values, dtype=np.float64), None, self.id)
@@ -407,8 +354,8 @@ class SparseBackend(SpectralBackend):
                 k=k,
                 which="SA",
                 return_eigenvectors=False,
-                tol=max(options.tolerance, 1e-6),
-                maxiter=options.max_iterations or n * 20,
+                tol=1e-6,
+                maxiter=n * 20,
                 ncv=ncv,
             )
             return BackendSolveResult(np.asarray(values, dtype=np.float64), None, self.id)
@@ -421,64 +368,6 @@ class SparseBackend(SpectralBackend):
             raise
 
 
-@register_backend
-class LanczosBackend(SpectralBackend):
-    """In-package Lanczos with full reorthogonalisation.
-
-    Warm start: the previous lineage level's leading Ritz vector (embedded
-    into the new dimension) replaces the random start vector, which shortens
-    the Krylov build needed to resolve the low end of the spectrum.
-    """
-
-    id = "lanczos"
-    supports_warm_start = True
-
-    def solve(self, matrix, k, initial_subspace=None):
-        mat = _cast_matrix(matrix, self.dtype)
-        n = matrix.shape[0]
-        start_vector = None
-        warm = False
-        if initial_subspace is not None and n > 0:
-            rng = np.random.default_rng(self.options.seed)
-            adapted = adapt_subspace(initial_subspace, n, 1, rng)
-            if adapted is not None:
-                start_vector = adapted[:, 0]
-                warm = True
-        result = lanczos_smallest_eigenvalues(
-            mat,
-            k,
-            max_iterations=self.options.max_iterations,
-            tolerance=self.options.tolerance,
-            seed=self.options.seed,
-            start_vector=start_vector,
-        )
-        vectors = result.eigenvectors
-        return BackendSolveResult(
-            np.asarray(result.eigenvalues, dtype=np.float64), vectors, self.id, warm
-        )
-
-
-@register_backend
-class PowerBackend(SpectralBackend):
-    """Shifted power iteration with deflation — simplest, slowest."""
-
-    id = "power"
-
-    def solve(self, matrix, k, initial_subspace=None):
-        # The Gershgorin shift needs explicit entries, so operators are
-        # lowered to their sparse form first.
-        mat = _as_sparse(matrix) if _is_operator(matrix) else matrix
-        mat = _cast_matrix(mat, self.dtype)
-        values = power_iteration_smallest_eigenvalues(
-            mat,
-            k,
-            tolerance=self.options.tolerance,
-            seed=self.options.seed,
-        )
-        return BackendSolveResult(np.asarray(values, dtype=np.float64), None, self.id)
-
-
-@register_backend
 class LobpcgBackend(SpectralBackend):
     """Shift-inverted blocked LOBPCG with warm starts.
 
@@ -500,18 +389,23 @@ class LobpcgBackend(SpectralBackend):
 
     #: Extra Ritz directions beyond ``k`` — headroom for clustered spectra.
     oversample = 8
-    #: Iteration cap when ``options.max_iterations`` is unset.
-    default_iterations = 200
+    #: Iteration cap.
+    iterations = 200
     #: Relative shift: ``sigma = shift_scale * max_diagonal`` (clamped).
     shift_scale = 1e-3
     #: Largest dimension the *failure* path may densify (an n x n float64
     #: array); beyond it a failed sparse solve re-raises instead of OOMing.
     dense_fallback_cap = 5000
 
+    @property
+    def tolerance(self) -> float:
+        """LOBPCG residual tolerance; float32 arithmetic cannot reach 1e-8."""
+        return 1e-6 if self.options.dtype == "float32" else TOLERANCE
+
     def solve(self, matrix, k, initial_subspace=None):
         n = matrix.shape[0]
         block = min(n, k + self.oversample)
-        rng = np.random.default_rng(self.options.seed)
+        rng = np.random.default_rng(SEED)
         if n < max(5 * block, 32):
             return self._dense_fallback(matrix, k)
         mat = _cast_matrix(_as_sparse(matrix).tocsc(), self.dtype)
@@ -524,8 +418,6 @@ class LobpcgBackend(SpectralBackend):
         if x is None:
             x = rng.standard_normal((n, block))
         x = np.ascontiguousarray(x, dtype=self.dtype)
-        maxiter = self.options.max_iterations or self.default_iterations
-        tol = max(self.options.tolerance, 1e-6 if self.options.dtype == "float32" else 0.0)
         try:
             lu = spla.splu(mat + sigma * sp.identity(n, dtype=mat.dtype, format="csc"))
             operator = spla.LinearOperator(
@@ -535,14 +427,14 @@ class LobpcgBackend(SpectralBackend):
                 dtype=mat.dtype,
             )
             with warnings.catch_warnings():
-                # LOBPCG warns when it stops short of the requested tolerance;
-                # the achieved residuals are recorded in the result, and the
-                # parity tests bound the actual accuracy — the warning is
-                # noise at our tolerances.
+                # LOBPCG warns when it stops short of the requested tolerance.
+                # Nothing records the achieved residuals yet; the parity and
+                # soundness tests bound the accuracy at the fixed iteration
+                # cap.
                 warnings.simplefilter("ignore", UserWarning)
                 warnings.simplefilter("ignore", LinAlgWarning)
                 inverse_values, vectors = spla.lobpcg(
-                    operator, x, largest=True, tol=tol or None, maxiter=maxiter
+                    operator, x, largest=True, tol=self.tolerance, maxiter=self.iterations
                 )
         except Exception:
             if n > self.dense_fallback_cap:
@@ -567,7 +459,6 @@ class LobpcgBackend(SpectralBackend):
         return BackendSolveResult(values[:k], vectors[:, : max(k, 1)], self.id)
 
 
-@register_backend
 class AmgBackend(LobpcgBackend):
     """LOBPCG preconditioned by an algebraic-multigrid V-cycle.
 
@@ -595,14 +486,14 @@ class AmgBackend(LobpcgBackend):
     id = "amg"
     supports_warm_start = True
 
-    #: Iteration cap when ``options.max_iterations`` is unset; preconditioned
-    #: LOBPCG converges in a few dozen iterations on Laplacian spectra.
-    default_iterations = 300
+    #: Iteration cap; preconditioned LOBPCG converges in a few dozen
+    #: iterations on Laplacian spectra.
+    iterations = 300
 
     def solve(self, matrix, k, initial_subspace=None):
         n = matrix.shape[0]
         block = min(n, k + self.oversample)
-        rng = np.random.default_rng(self.options.seed)
+        rng = np.random.default_rng(SEED)
         if n < max(5 * block, 32):
             return self._dense_fallback(matrix, k)
         csr = _cast_matrix(_as_sparse(matrix).tocsr(), self.dtype)
@@ -613,12 +504,8 @@ class AmgBackend(LobpcgBackend):
         if x is None:
             x = rng.standard_normal((n, block))
         x = np.ascontiguousarray(x, dtype=self.dtype)
-        maxiter = self.options.max_iterations or self.default_iterations
-        tol = max(self.options.tolerance, 1e-6 if self.options.dtype == "float32" else 0.0)
         try:
-            preconditioner = smoothed_aggregation_preconditioner(
-                shifted, seed=self.options.seed
-            )
+            preconditioner = smoothed_aggregation_preconditioner(shifted, seed=SEED)
             if _is_operator(matrix):
                 # Keep the caller's matrix-free application (row-block
                 # sharding and all); only the +sigma shift is added here.
@@ -632,8 +519,8 @@ class AmgBackend(LobpcgBackend):
             else:
                 operator = shifted
             with warnings.catch_warnings():
-                # Same rationale as LobpcgBackend: the convergence warning is
-                # noise at our tolerances; parity tests bound the accuracy.
+                # Same as LobpcgBackend: residuals are not recorded yet; the
+                # parity and soundness tests bound the accuracy.
                 warnings.simplefilter("ignore", UserWarning)
                 warnings.simplefilter("ignore", LinAlgWarning)
                 values, vectors = spla.lobpcg(
@@ -641,8 +528,8 @@ class AmgBackend(LobpcgBackend):
                     x,
                     M=preconditioner,
                     largest=False,
-                    tol=tol or None,
-                    maxiter=maxiter,
+                    tol=self.tolerance,
+                    maxiter=self.iterations,
                 )
         except Exception:
             if n > self.dense_fallback_cap:
@@ -652,7 +539,7 @@ class AmgBackend(LobpcgBackend):
             if n > self.dense_fallback_cap:
                 raise RuntimeError(
                     f"amg-preconditioned lobpcg diverged for n={n} and the "
-                    f"matrix is too large to densify; retry with method='lanczos'"
+                    f"matrix is too large to densify; retry with method='sparse'"
                 )
             return self._dense_fallback(matrix, k)
         values = np.asarray(values, dtype=np.float64) - sigma
@@ -660,6 +547,45 @@ class AmgBackend(LobpcgBackend):
         values = values[order]
         vectors = np.asarray(vectors, dtype=np.float64)[:, order]
         return BackendSolveResult(values[:k], vectors, self.id, warm)
+
+
+# ----------------------------------------------------------------------
+# registry + routing
+# ----------------------------------------------------------------------
+_REGISTRY: Dict[str, type] = {
+    cls.id: cls for cls in (DenseBackend, SparseBackend, LobpcgBackend, AmgBackend)
+}
+
+
+def available_backends() -> Tuple[str, ...]:
+    """Backend ids, sorted (``auto`` is a dispatch, not a backend)."""
+    return tuple(sorted(_REGISTRY))
+
+
+def create_backend(name: str, options: "EigenSolverOptions") -> SpectralBackend:
+    """Instantiate the backend with id ``name``."""
+    try:
+        factory = _REGISTRY[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown spectral backend {name!r}; known: {available_backends()}"
+        )
+    return factory(options)
+
+
+def resolve_method(method: str, n: int, k: int) -> str:
+    """Map ``"auto"`` to a concrete backend id.
+
+    An explicit ``method`` always wins.  ``auto`` picks ``dense`` for small
+    problems (n up to :data:`DENSE_CUTOFF`, or near-full spectra of moderate
+    size), ``sparse`` (ARPACK shift-invert) up to :data:`AMG_AUTO_CUTOFF`,
+    and ``amg`` beyond; it never densifies above :data:`DENSE_AUTO_CAP`.
+    """
+    if method != "auto":
+        return method
+    if n <= DENSE_CUTOFF or (k >= n - 1 and n <= DENSE_AUTO_CAP):
+        return "dense"
+    return "sparse" if n <= AMG_AUTO_CUTOFF else "amg"
 
 
 # ----------------------------------------------------------------------
@@ -691,10 +617,10 @@ def solve_smallest(
         # Even the trivial solve reports the *resolved* backend id so records
         # and store entries never show "auto".
         return BackendSolveResult(
-            np.zeros(0), None, resolve_method(options.method, n, k, options)
+            np.zeros(0), None, resolve_method(options.method, n, k)
         )
 
-    method = resolve_method(options.method, n, k, options)
+    method = resolve_method(options.method, n, k)
     backend = create_backend(method, options)
 
     seed_block = None

@@ -9,9 +9,8 @@ Covers the three tentpole layers and their contracts:
   sizes that exercise the *real* multigrid path, not the dense fallback;
 * matrix-free :class:`~repro.graphs.laplacian.LaplacianOperator` inputs
   (including sharded row blocks) agreeing with assembled-CSR solves, and
-  ``resolve_method`` auto-routing (dense / sparse / amg by size, the
-  ``$REPRO_SOLVER_BACKEND`` escape hatch, resolved ids recorded everywhere
-  an ``"auto"`` could previously leak);
+  ``resolve_method`` auto-routing (dense / sparse / amg by size, resolved
+  ids recorded everywhere an ``"auto"`` could previously leak);
 * interlacing-certified coarsening: hypothesis property tests that the
   certified intervals contain the exact eigenvalues on random DAGs (both
   the raw interval arithmetic and the public entry point), non-trivial
@@ -43,10 +42,9 @@ from repro.solvers.amg import (
     smoothed_aggregation_preconditioner,
     strength_graph,
 )
-from repro.solvers.backend import EigenSolverOptions, smallest_eigenvalues
+from repro.solvers.backend import EigenSolverOptions
 from repro.solvers.backends import (
     AMG_AUTO_CUTOFF,
-    SOLVER_BACKEND_ENV_VAR,
     WarmStartContext,
     available_backends,
     resolve_method,
@@ -128,14 +126,14 @@ class TestAmgBackendParity:
         dimension = 8  # n = 256
         exact = hypercube_spectrum_array(dimension)[:H]
         lap = laplacian(hypercube_graph(dimension), normalized=False, sparse=True)
-        values = smallest_eigenvalues(lap, H, EigenSolverOptions(method="amg"))
+        values = solve_smallest(lap, H, EigenSolverOptions(method="amg")).eigenvalues
         np.testing.assert_allclose(values, exact, atol=1e-5)
 
     def test_butterfly_parity_cold(self):
         levels = 6  # n = 448
         exact = butterfly_spectrum_array(levels)[:H]
         lap = laplacian(fft_graph(levels), normalized=False, sparse=True)
-        values = smallest_eigenvalues(lap, H, EigenSolverOptions(method="amg"))
+        values = solve_smallest(lap, H, EigenSolverOptions(method="amg")).eigenvalues
         np.testing.assert_allclose(values, exact, atol=1e-5)
 
     def test_butterfly_parity_float32(self):
@@ -143,7 +141,7 @@ class TestAmgBackendParity:
         exact = butterfly_spectrum_array(levels)[:H]
         lap = laplacian(fft_graph(levels), normalized=False, sparse=True)
         options = EigenSolverOptions(method="amg", dtype="float32")
-        values = smallest_eigenvalues(lap, H, options)
+        values = solve_smallest(lap, H, options).eigenvalues
         assert values.dtype == np.float64  # results are always upcast
         np.testing.assert_allclose(values, exact, atol=1e-3)
 
@@ -165,8 +163,8 @@ class TestAmgBackendParity:
         csr = laplacian(graph, normalized=False, sparse=True)
         operator = laplacian_operator(graph, normalized=False)
         options = EigenSolverOptions(method="amg")
-        from_csr = smallest_eigenvalues(csr, H, options)
-        from_op = smallest_eigenvalues(operator, H, options)
+        from_csr = solve_smallest(csr, H, options).eigenvalues
+        from_op = solve_smallest(operator, H, options).eigenvalues
         np.testing.assert_allclose(from_op, from_csr, atol=1e-7)
 
 
@@ -205,40 +203,18 @@ class TestLaplacianOperator:
 
 class TestResolveMethod:
     def test_explicit_method_always_wins(self):
-        options = EigenSolverOptions(method="power")
-        assert resolve_method("power", 10**6, 5, options) == "power"
+        assert resolve_method("lobpcg", 10**6, 5) == "lobpcg"
 
     def test_auto_routes_by_size(self):
-        options = EigenSolverOptions()
-        assert resolve_method("auto", 100, 5, options) == "dense"
-        assert resolve_method("auto", 10_000, 5, options) == "sparse"
-        assert resolve_method("auto", AMG_AUTO_CUTOFF + 1, 5, options) == "amg"
+        assert resolve_method("auto", 100, 5) == "dense"
+        assert resolve_method("auto", 10_000, 5) == "sparse"
+        assert resolve_method("auto", AMG_AUTO_CUTOFF + 1, 5) == "amg"
 
     def test_auto_never_dense_above_cutoff(self):
         # Full-spectrum requests (k >= n-1) go dense only below the cap.
-        options = EigenSolverOptions()
-        assert resolve_method("auto", 20_000, 19_999, options) == "dense"
+        assert resolve_method("auto", 20_000, 19_999) == "dense"
         n = 60_000
-        assert resolve_method("auto", n, n - 1, options) == "amg"
-
-    def test_env_var_forces_auto_solves(self, monkeypatch):
-        options = EigenSolverOptions()
-        monkeypatch.setenv(SOLVER_BACKEND_ENV_VAR, "lanczos")
-        assert resolve_method("auto", 100, 5, options) == "lanczos"
-        assert resolve_method("auto", 10**6, 5, options) == "lanczos"
-        # Explicit methods ignore the escape hatch.
-        assert resolve_method("dense", 100, 5, options) == "dense"
-
-    def test_env_var_invalid_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(SOLVER_BACKEND_ENV_VAR, "bogus")
-        with pytest.raises(ValueError, match=SOLVER_BACKEND_ENV_VAR):
-            resolve_method("auto", 100, 5, EigenSolverOptions())
-
-    def test_env_var_applies_end_to_end(self, monkeypatch):
-        monkeypatch.setenv(SOLVER_BACKEND_ENV_VAR, "lobpcg")
-        lap = laplacian(fft_graph(4), normalized=False, sparse=True)
-        result = solve_smallest(lap, 6, EigenSolverOptions())
-        assert result.backend == "lobpcg"  # auto would have picked dense
+        assert resolve_method("auto", n, n - 1) == "amg"
 
 
 class TestResolvedBackendRecording:

@@ -265,7 +265,7 @@ class TestCLI:
         assert (
             self.run_cli(
                 "solve", "--family", "fft", "--size", "3", "-M", "4",
-                "--no-store", "--solver", "lanczos", "--json",
+                "--no-store", "--solver", "lobpcg", "--json",
             )
             == 0
         )

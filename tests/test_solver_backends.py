@@ -4,6 +4,9 @@ Covers the PR 3 contracts:
 
 * every registered backend agrees with the *closed-form* hypercube and
   butterfly (FFT) spectra within tolerance (float32 with a looser one),
+* no registered backend returns an eigenvalue, or a raw bound, above the
+  dense solve's: the bound is a *lower* bound only if the spectrum is not
+  overstated,
 * warm-started solves produce the same eigenvalues as cold solves,
 * :class:`SpectrumCache` and :class:`SpectrumStore` keys segregate dtype and
   backend variants (mixed-precision spectra coexist),
@@ -12,17 +15,19 @@ Covers the PR 3 contracts:
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
 import numpy as np
 import pytest
 
+from repro.core.bounds import spectral_bound
 from repro.core.spectra import butterfly_spectrum_array, hypercube_spectrum_array
 from repro.graphs.generators import fft_graph, hypercube_graph
 from repro.graphs.laplacian import laplacian
 from repro.runtime.store import SpectrumStore
-from repro.solvers.backend import EigenSolverOptions, smallest_eigenvalues
+from repro.solvers.backend import EigenSolverOptions
 from repro.solvers.backends import (
     WarmStartContext,
     adapt_subspace,
@@ -33,7 +38,7 @@ from repro.solvers.backends import (
 from repro.solvers.spectrum_cache import SpectrumCache
 
 H = 12
-BACKENDS = ("dense", "sparse", "lanczos", "power", "lobpcg", "amg")
+BACKENDS = ("amg", "dense", "lobpcg", "sparse")
 
 
 def fft_laplacian(levels: int, sparse: bool = True):
@@ -42,7 +47,7 @@ def fft_laplacian(levels: int, sparse: bool = True):
 
 class TestRegistry:
     def test_all_expected_backends_registered(self):
-        assert set(BACKENDS) <= set(available_backends())
+        assert available_backends() == BACKENDS
 
     def test_create_backend_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown spectral backend"):
@@ -65,22 +70,18 @@ class TestClosedFormParity:
         dimension = 5
         exact = hypercube_spectrum_array(dimension)[:H]
         lap = laplacian(hypercube_graph(dimension), normalized=False, sparse=True)
-        h = 4 if backend == "power" else H  # deflated power is O(h·iters·nnz)
         options = EigenSolverOptions(method=backend)
-        values = smallest_eigenvalues(lap, h, options)
-        atol = 1e-3 if backend == "power" else 1e-5
-        np.testing.assert_allclose(values, exact[:h], atol=atol)
+        values = solve_smallest(lap, H, options).eigenvalues
+        np.testing.assert_allclose(values, exact, atol=1e-5)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_butterfly_parity(self, backend):
         levels = 4
         exact = butterfly_spectrum_array(levels)[:H]
         lap = fft_laplacian(levels)
-        h = 4 if backend == "power" else H
         options = EigenSolverOptions(method=backend)
-        values = smallest_eigenvalues(lap, h, options)
-        atol = 1e-3 if backend == "power" else 1e-5
-        np.testing.assert_allclose(values, exact[:h], atol=atol)
+        values = solve_smallest(lap, H, options).eigenvalues
+        np.testing.assert_allclose(values, exact, atol=1e-5)
 
     @pytest.mark.parametrize("backend", ("dense", "lobpcg", "amg"))
     def test_float32_parity_loose_tolerance(self, backend):
@@ -88,9 +89,79 @@ class TestClosedFormParity:
         exact = butterfly_spectrum_array(levels)[:H]
         lap = fft_laplacian(levels)
         options = EigenSolverOptions(method=backend, dtype="float32")
-        values = smallest_eigenvalues(lap, H, options)
+        values = solve_smallest(lap, H, options).eigenvalues
         assert values.dtype == np.float64  # results are always upcast
         np.testing.assert_allclose(values, exact, atol=1e-3)
+
+
+#: The paper's truncation h and a memory size small enough that the raw
+#: (unclamped) bound still reacts to every eigenvalue that enters it.
+SOUND_H = 100
+SOUND_M = 3
+#: Eigenvalues and raw bounds may exceed the dense solve's by at most this.
+SOUND_SLACK = 1e-8
+
+
+def _sound_cases():
+    """(backend, levels, normalized) over every registered backend.
+
+    Normalized fft(7) (n = 1,024) is large enough that the iterative
+    backends run their real paths at h = 100; fft(5) (n = 192) is where
+    ARPACK shift-invert overstates.
+    """
+    for levels, normalized in ((7, True), (5, True), (5, False)):
+        for backend in available_backends():
+            marks = ()
+            if backend == "sparse" and levels == 5:
+                marks = pytest.mark.xfail(
+                    strict=True,
+                    reason="ARPACK shift-invert returns 4 of 100 fft(5) "
+                    "eigenvalues up to +0.38 too high; open until every "
+                    "solve is certified (ROADMAP, sound-by-construction "
+                    "spectra)",
+                )
+            label = "normalized" if normalized else "unnormalized"
+            yield pytest.param(
+                backend, levels, normalized, marks=marks,
+                id=f"{backend}-fft{levels}-{label}",
+            )
+
+
+def _fft_bound(backend: str, levels: int, normalized: bool):
+    return spectral_bound(
+        fft_graph(levels),
+        SOUND_M,
+        num_eigenvalues=SOUND_H,
+        normalized=normalized,
+        eig_options=EigenSolverOptions(method=backend),
+        cache=SpectrumCache(),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_fft_bound(levels: int, normalized: bool):
+    return _fft_bound("dense", levels, normalized)
+
+
+class TestSoundness:
+    """No backend may overstate the spectrum, and so the bound, of dense.
+
+    Ritz values are upper bounds on the true eigenvalues, so an iterative
+    backend errs upwards, and an overstated eigenvalue overstates a lower
+    bound.  Raw values are compared because clamped bounds are 0 here.
+    """
+
+    @pytest.mark.parametrize("backend, levels, normalized", list(_sound_cases()))
+    def test_never_above_dense(self, backend, levels, normalized):
+        exact = _dense_fft_bound(levels, normalized)
+        result = _fft_bound(backend, levels, normalized)
+        excess = np.asarray(result.eigenvalues) - np.asarray(exact.eigenvalues)
+        too_high = int(np.sum(excess > SOUND_SLACK))
+        assert too_high == 0, (
+            f"{backend}: {too_high} of {SOUND_H} eigenvalues above dense, "
+            f"by up to {excess.max():.3g}"
+        )
+        assert result.raw_value <= exact.raw_value + SOUND_SLACK
 
 
 class TestWarmStart:
@@ -115,16 +186,6 @@ class TestWarmStart:
             fft_laplacian(6), H, options, warm_start=context, lineage="fft"
         )
         assert not bigger.warm_started
-
-    def test_lanczos_warm_start_matches_cold(self):
-        options = EigenSolverOptions(method="lanczos")
-        context = WarmStartContext()
-        lap = fft_laplacian(4)
-        cold = solve_smallest(lap, 8, options)
-        solve_smallest(lap, 8, options, warm_start=context, lineage="fft")
-        warm = solve_smallest(lap, 8, options, warm_start=context, lineage="fft")
-        assert warm.warm_started
-        np.testing.assert_allclose(warm.eigenvalues, cold.eigenvalues, atol=1e-5)
 
     def test_contexts_segregate_normalization_and_options(self):
         context = WarmStartContext()
